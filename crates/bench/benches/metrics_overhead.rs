@@ -1,11 +1,12 @@
 //! Microbench: observability overhead on the ingest hot path.
 //!
-//! Issue 10's acceptance bar is that full instrumentation (always-on
-//! Relaxed counters + per-stage task timestamping + the flight recorder)
-//! costs < 2% ingest throughput, and that switching stage timestamping off
-//! (`EngineConfig::stage_timestamps = false`) makes the remaining cost
-//! indistinguishable from noise — the counters are a handful of Relaxed
-//! `fetch_add`s per *batch*, not per row.
+//! Compares ingest throughput with full instrumentation (always-on Relaxed
+//! counters + per-stage task timestamping + the flight recorder) against
+//! `EngineConfig::stage_timestamps = false`, where what remains is a
+//! handful of Relaxed `fetch_add`s per *batch*, not per row. It prints the
+//! rates and asserts no bound: its run-to-run noise (around ±10 %) is
+//! larger than the effect. The measured overhead is the traced-minus-
+//! untraced table in `e2e_bench/README.md`.
 //!
 //! The harness measures saturated single-stream ingest throughput (the
 //! `shared` configuration of `abl_ingest`, which stresses the dispatcher

@@ -1,8 +1,12 @@
-//! Criterion micro-benchmarks of the engine substrates: dispatcher task
-//! creation, HLS selection over a populated queue, circular-buffer inserts
-//! and group-table updates.
+//! Micro-benchmarks of the engine substrates: dispatcher task creation, HLS
+//! selection over a populated queue, circular-buffer inserts and
+//! group-table updates.
+//!
+//! Each body runs once to warm up, then repeatedly for `SABER_BENCH_SECS`
+//! (capped at 0.8 s). Reported per body: mean time per iteration and the
+//! throughput of the unit that body processes (bytes or elements).
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use saber_bench::{fmt, measure_duration, Report};
 use saber_cpu::hashtable::GroupTable;
 use saber_cpu::plan::CompiledPlan;
 use saber_engine::circular::CircularBuffer;
@@ -12,15 +16,42 @@ use saber_engine::scheduler::{Processor, Scheduler};
 use saber_engine::{SchedulingPolicyKind, ThroughputMatrix};
 use saber_query::aggregate::AggregateFunction;
 use saber_workloads::synthetic;
+use std::hint::black_box;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-fn bench_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_substrates");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_millis(800));
-    group.warm_up_time(Duration::from_millis(200));
+/// Times `body` and adds a row: `units` is what one iteration processes.
+fn measure<T>(
+    report: &mut Report,
+    name: &str,
+    units: f64,
+    unit: &str,
+    mut body: impl FnMut() -> T,
+) {
+    black_box(body());
+    let budget = measure_duration().min(Duration::from_millis(800));
+    let start = Instant::now();
+    let mut iters = 0u64;
+    while iters < 3 || start.elapsed() < budget {
+        black_box(body());
+        iters += 1;
+    }
+    let secs = start.elapsed().as_secs_f64();
+    report.add_row(vec![
+        name.to_string(),
+        fmt(secs * 1e9 / iters as f64),
+        fmt(units * iters as f64 / secs),
+        unit.to_string(),
+    ]);
+}
+
+fn main() {
+    let mut report = Report::new(
+        "micro_engine",
+        "Engine substrate micro-benchmarks",
+        &["benchmark", "ns_per_iter", "throughput", "unit"],
+    );
 
     // Dispatcher: cutting 1 MB tasks out of a 16 MB ingest stream.
     let schema = synthetic::schema();
@@ -28,9 +59,12 @@ fn bench_engine(c: &mut Criterion) {
     let w = synthetic::window_bytes(32 * 1024, 32 * 1024);
     let query = synthetic::select(4, w);
     let plan = Arc::new(CompiledPlan::compile(&query).unwrap());
-    group.throughput(Throughput::Bytes(data.byte_len() as u64));
-    group.bench_function("dispatcher_1mb_tasks", |b| {
-        b.iter(|| {
+    measure(
+        &mut report,
+        "dispatcher_1mb_tasks",
+        data.byte_len() as f64,
+        "bytes/s",
+        || {
             let d = Dispatcher::new(
                 plan.clone(),
                 1 << 20,
@@ -43,66 +77,75 @@ fn bench_engine(c: &mut Criterion) {
                 tasks += d.ingest(0, chunk).unwrap().len();
             }
             tasks
-        })
-    });
+        },
+    );
 
     // HLS selection over a queue of 64 tasks from 4 queries.
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("hls_select_from_64_tasks", |b| {
-        let matrix = Arc::new(ThroughputMatrix::new(0.5, 8));
-        for q in 0..4 {
-            matrix.record(
-                q,
-                Processor::Cpu,
-                Duration::from_micros(500 + 100 * q as u64),
-            );
-            matrix.record(
-                q,
-                Processor::Gpu,
-                Duration::from_micros(900 - 150 * q as u64),
-            );
-        }
-        let scheduler = Scheduler::new(SchedulingPolicyKind::default(), matrix);
-        let queue = TaskQueue::with_queries(1);
-        let d = Dispatcher::new(
-            plan.clone(),
-            64 * 1024,
-            64 << 20,
-            Arc::new(AtomicU64::new(0)),
-            true,
+    let matrix = Arc::new(ThroughputMatrix::new(0.5, 8));
+    for q in 0..4 {
+        matrix.record(
+            q,
+            Processor::Cpu,
+            Duration::from_micros(500 + 100 * q as u64),
         );
-        for chunk in data.bytes().chunks(64 * 1024).take(64) {
-            for t in d.ingest(0, chunk).unwrap() {
-                queue.push(t);
-            }
+        matrix.record(
+            q,
+            Processor::Gpu,
+            Duration::from_micros(900 - 150 * q as u64),
+        );
+    }
+    let scheduler = Scheduler::new(SchedulingPolicyKind::default(), matrix);
+    let queue = TaskQueue::with_queries(1);
+    let d = Dispatcher::new(
+        plan.clone(),
+        64 * 1024,
+        64 << 20,
+        Arc::new(AtomicU64::new(0)),
+        true,
+    );
+    for chunk in data.bytes().chunks(64 * 1024).take(64) {
+        for t in d.ingest(0, chunk).unwrap() {
+            queue.push(t);
         }
-        b.iter(|| {
+    }
+    measure(
+        &mut report,
+        "hls_select_from_64_tasks",
+        1.0,
+        "selections/s",
+        || {
             // Select and re-insert so the queue stays populated.
             if let Some(task) =
                 scheduler.next_task(&queue, Processor::Cpu, Duration::from_millis(1))
             {
                 queue.push(task);
             }
-        })
-    });
+        },
+    );
 
     // Circular buffer insert/release cycle.
-    group.throughput(Throughput::Bytes(64 * 1024));
-    group.bench_function("circular_buffer_64kb_roundtrip", |b| {
-        let buf = CircularBuffer::new(8 << 20);
-        let chunk = vec![7u8; 64 * 1024];
-        b.iter(|| {
+    let buf = CircularBuffer::new(8 << 20);
+    let chunk = vec![7u8; 64 * 1024];
+    measure(
+        &mut report,
+        "circular_buffer_64kb_roundtrip",
+        chunk.len() as f64,
+        "bytes/s",
+        || {
             buf.insert(&chunk).unwrap();
             let head = buf.head();
             buf.release_until(head);
             head
-        })
-    });
+        },
+    );
 
     // Group-table updates (the GROUP-BY hot loop).
-    group.throughput(Throughput::Elements(10_000));
-    group.bench_function("group_table_10k_updates", |b| {
-        b.iter(|| {
+    measure(
+        &mut report,
+        "group_table_10k_updates",
+        10_000.0,
+        "updates/s",
+        || {
             let mut t = GroupTable::new(&[AggregateFunction::Sum, AggregateFunction::Count]);
             for i in 0..10_000i64 {
                 let states = t.entry(&[i % 64]);
@@ -110,11 +153,8 @@ fn bench_engine(c: &mut Criterion) {
                 states[1].update(1.0);
             }
             t.len()
-        })
-    });
+        },
+    );
 
-    group.finish();
+    report.finish();
 }
-
-criterion_group!(benches, bench_engine);
-criterion_main!(benches);

@@ -124,14 +124,17 @@ pub fn run_join(
     }
     engine.stop()?;
     let elapsed = started.elapsed();
-    let stats = engine.query_stats(QueryId(0)).expect("query registered");
+    let stats = engine
+        .query_stats(QueryId(0))
+        .expect("query registered")
+        .snapshot();
     let row_size = left.schema().row_size() as u64;
     Ok(Measurement {
         label: label.to_string(),
         tuples_per_second: (ingested / row_size) as f64 / elapsed.as_secs_f64(),
         bytes_per_second: ingested as f64 / elapsed.as_secs_f64(),
         avg_latency: stats.avg_latency(),
-        tuples_out: stats.tuples_out.load(std::sync::atomic::Ordering::Relaxed),
+        tuples_out: stats.tuples_out,
         gpu_share: stats.gpu_share(),
         elapsed,
     })

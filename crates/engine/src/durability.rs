@@ -513,7 +513,7 @@ mod tests {
             // The engine processed everything pre-"crash" too.
             assert_eq!(a.tuples_emitted(), 4096);
         }
-        let (mut engine, report) = Saber::recover(durable_config(&dir.path)).unwrap();
+        let (engine, report) = Saber::recover(durable_config(&dir.path)).unwrap();
         assert_eq!(report.queries.len(), 2);
         assert_eq!(report.queries[0].id, QueryId(0));
         assert_eq!(report.queries[0].sql, sql_a);
@@ -602,7 +602,7 @@ mod tests {
             }
             engine.stop().unwrap();
         }
-        let (mut engine, report) = Saber::recover(config).unwrap();
+        let (engine, report) = Saber::recover(config).unwrap();
         // Only the survivor's suffix replays; the pruned history is gone.
         assert_eq!(report.queries.len(), 1);
         assert_eq!(report.queries[0].id, QueryId(1));

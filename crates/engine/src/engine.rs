@@ -168,9 +168,18 @@ struct EngineCore {
 /// The SABER hybrid stream processing engine.
 pub struct Saber {
     core: Arc<EngineCore>,
+    /// Behind a mutex so [`Saber::stop`] can take `&self`; the phase CAS
+    /// already makes stop one-shot, so the lock is only ever taken to move
+    /// the handles out.
+    threads: Mutex<EngineThreads>,
+}
+
+/// The engine's worker threads plus the background `saber-checkpoint`
+/// thread of a durable engine.
+#[derive(Default)]
+struct EngineThreads {
     workers: Vec<JoinHandle<()>>,
-    /// The background `saber-checkpoint` thread of a durable engine.
-    checkpoint_worker: Option<JoinHandle<()>>,
+    checkpoint: Option<JoinHandle<()>>,
 }
 
 impl Saber {
@@ -269,8 +278,7 @@ impl Saber {
                 recorder: Arc::new(FlightRecorder::new(256)),
                 config,
             }),
-            workers: Vec::new(),
-            checkpoint_worker: None,
+            threads: Mutex::default(),
         })
     }
 
@@ -882,7 +890,7 @@ impl Saber {
         let cpu_workers = self.core.config.effective_cpu_workers();
         for i in 0..cpu_workers {
             let ctx = self.worker_context();
-            self.workers.push(
+            self.threads.get_mut().workers.push(
                 std::thread::Builder::new()
                     .name(format!("saber-cpu-{i}"))
                     .spawn(move || run_cpu_worker(ctx))
@@ -893,7 +901,7 @@ impl Saber {
             let ctx = self.worker_context();
             let device = self.core.device.clone();
             let depth = self.core.config.gpu_pipeline_depth;
-            self.workers.push(
+            self.threads.get_mut().workers.push(
                 std::thread::Builder::new()
                     .name("saber-gpgpu".to_string())
                     .spawn(move || run_gpu_worker(ctx, device, depth))
@@ -929,12 +937,12 @@ impl Saber {
         let Some(interval) = durability.store.config().checkpoint_interval else {
             return Ok(());
         };
-        if self.checkpoint_worker.is_some() {
+        if self.threads.get_mut().checkpoint.is_some() {
             return Ok(());
         }
         let core = self.core.clone();
         let durability = durability.clone();
-        self.checkpoint_worker = Some(
+        self.threads.get_mut().checkpoint = Some(
             std::thread::Builder::new()
                 .name("saber-checkpoint".to_string())
                 .spawn(move || loop {
@@ -1093,7 +1101,10 @@ impl Saber {
     /// [`QueryHandle::remove`] holding the wind-down mutex can additionally
     /// delay stop by up to its own drain timeout, so the worst-case bound is
     /// `STOP_DRAIN_TIMEOUT + REMOVE_DRAIN_TIMEOUT`.
-    pub fn stop(&mut self) -> Result<()> {
+    ///
+    /// Stop is one-shot: a second call, concurrent or later, returns
+    /// `Ok(())` at once without waiting for the first to finish.
+    pub fn stop(&self) -> Result<()> {
         if self
             .core
             .lifecycle
@@ -1134,7 +1145,8 @@ impl Saber {
         // told to exit, remaining credits would never be released.
         self.core.flow.signal_shutdown();
         drop(wind_down);
-        for worker in self.workers.drain(..) {
+        let workers = std::mem::take(&mut self.threads.lock().workers);
+        for worker in workers {
             let _ = worker.join();
         }
         // Workers are gone: results are final. Signal end-of-stream to every
@@ -1152,7 +1164,8 @@ impl Saber {
         let sync_result = match self.core.durability.clone() {
             Some(durability) => {
                 durability.stop_checkpoints();
-                if let Some(worker) = self.checkpoint_worker.take() {
+                let checkpoint = self.threads.lock().checkpoint.take();
+                if let Some(worker) = checkpoint {
                     let _ = worker.join();
                 }
                 let _ = checkpoint_engine(&durability, self.core.registry.num_slots());
@@ -1199,9 +1212,11 @@ impl Saber {
     }
 
     /// `(blocking submissions, total blocked time)` across all producers
-    /// (backpressure-wait metric).
+    /// (backpressure-wait metric): the per-query counters summed over every
+    /// query ever registered.
     pub fn backpressure_stats(&self) -> (u64, Duration) {
-        self.core.flow.wait_stats()
+        let totals = self.core.stats.totals();
+        (totals.backpressure_waits, totals.backpressure_wait())
     }
 
     /// Resets the throughput matrix and the scheduler's execution counters
@@ -2311,7 +2326,7 @@ mod tests {
         let (waits, waited) = engine.backpressure_stats();
         assert!(waits > 0, "expected producers to block on the credit gate");
         assert!(waited > Duration::ZERO);
-        let stats = engine.query_stats(query.id()).unwrap();
+        let stats = engine.query_stats(query.id()).unwrap().snapshot();
         assert!(stats.backpressure_wait() > Duration::ZERO);
     }
 }

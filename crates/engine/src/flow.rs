@@ -14,13 +14,14 @@
 //! The outstanding-credit count lives under a mutex paired with a condvar:
 //! acquire/release and the emptiness test are mutually ordered by the lock,
 //! so no Acquire/Release atomic reasoning is needed for correctness. The
-//! wait-time counters are plain `Relaxed` atomics — they are monitoring
-//! data, read without synchronization.
+//! gate keeps no wait statistics of its own: [`FlowControl::acquire`]
+//! returns the wait, and the submitting query records it in its
+//! [`crate::metrics::QueryStats`].
 //!
 //! saber-lint: hot-path
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// A counting credit gate bounding the number of in-flight query tasks
@@ -35,12 +36,6 @@ pub struct FlowControl {
     /// Once set, `acquire` stops blocking: the engine is shutting down, so
     /// the bound no longer matters and stranded producers must not hang.
     shutdown: AtomicBool,
-    /// Total nanoseconds producers spent blocked waiting for a credit.
-    wait_nanos: AtomicU64,
-    /// Number of acquisitions that had to block.
-    waits: AtomicU64,
-    /// Total acquisitions.
-    acquisitions: AtomicU64,
 }
 
 impl FlowControl {
@@ -51,9 +46,6 @@ impl FlowControl {
             outstanding: Mutex::new(0),
             released: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            wait_nanos: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-            acquisitions: AtomicU64::new(0),
         }
     }
 
@@ -67,8 +59,6 @@ impl FlowControl {
     /// After [`FlowControl::signal_shutdown`] the gate stops blocking, so
     /// producers stranded mid-ingest when the engine stops cannot hang.
     pub fn acquire(&self) -> Duration {
-        // relaxed-ok: monitoring counter, read only by wait_stats displays.
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
         let mut outstanding = self.outstanding.lock();
         if *outstanding < self.capacity {
             *outstanding += 1;
@@ -81,13 +71,7 @@ impl FlowControl {
         }
         *outstanding += 1;
         drop(outstanding);
-        let waited = started.elapsed();
-        // relaxed-ok: monitoring counters, read only by wait_stats displays.
-        self.wait_nanos
-            .fetch_add(waited.as_nanos() as u64, Ordering::Relaxed);
-        // relaxed-ok: monitoring counter, read only by wait_stats displays.
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        waited
+        started.elapsed()
     }
 
     /// Returns one credit and wakes blocked producers/drainers.
@@ -131,19 +115,6 @@ impl FlowControl {
         }
         true
     }
-
-    /// `(blocking acquisitions, total blocked time)` across all producers.
-    pub fn wait_stats(&self) -> (u64, Duration) {
-        (
-            self.waits.load(Ordering::Relaxed),
-            Duration::from_nanos(self.wait_nanos.load(Ordering::Relaxed)),
-        )
-    }
-
-    /// Total number of credits ever acquired.
-    pub fn total_acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -173,10 +144,6 @@ mod tests {
         flow.release();
         let waited = t.join().unwrap();
         assert!(waited >= Duration::from_millis(5), "waited {waited:?}");
-        let (waits, total) = flow.wait_stats();
-        assert_eq!(waits, 1);
-        assert!(total >= waited);
-        assert_eq!(flow.total_acquisitions(), 2);
     }
 
     #[test]
@@ -229,6 +196,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(flow.outstanding(), 0);
-        assert_eq!(flow.total_acquisitions(), 2000);
     }
 }

@@ -89,6 +89,12 @@ pub struct QueryStats {
     /// an odd/even bump, [`QueryStats::snapshot`] retries while a write is
     /// in flight. The writer is effectively single-threaded (the result
     /// stage's release loop, under its `ordered` lock).
+    ///
+    /// The triple is not a copy of the `total` stage histogram: it times
+    /// dispatch → delivery for *every* task, while `total` times ingest-ack
+    /// → delivery and is fed only with stage timestamping on. And
+    /// [`Histogram::snapshot`] may pair a bucket count with a stale sum,
+    /// which is exactly the tear this seqlock exists to forbid.
     latency_gen: AtomicU64,
 }
 
@@ -155,16 +161,6 @@ impl QueryStats {
         }
     }
 
-    /// Average task latency (from a consistent snapshot).
-    pub fn avg_latency(&self) -> Duration {
-        self.snapshot().avg_latency()
-    }
-
-    /// Maximum task latency.
-    pub fn max_latency(&self) -> Duration {
-        Duration::from_nanos(self.latency_max_nanos.load(Ordering::Relaxed))
-    }
-
     /// Records one producer backpressure stall.
     pub fn record_backpressure(&self, waited: Duration) {
         if waited > Duration::ZERO {
@@ -176,11 +172,6 @@ impl QueryStats {
         }
     }
 
-    /// Total time this query's producers spent blocked on backpressure.
-    pub fn backpressure_wait(&self) -> Duration {
-        Duration::from_nanos(self.backpressure_wait_nanos.load(Ordering::Relaxed))
-    }
-
     /// Records one task execution on `processor`.
     pub fn record_task(&self, processor: Processor) {
         match processor {
@@ -189,18 +180,6 @@ impl QueryStats {
             // relaxed-ok: monitoring counter behind the gpu_share() display.
             Processor::Gpu => self.tasks_gpu.fetch_add(1, Ordering::Relaxed),
         };
-    }
-
-    /// Fraction of executed tasks that ran on the accelerator (the "GPGPU
-    /// contribution" split of Fig. 7).
-    pub fn gpu_share(&self) -> f64 {
-        let cpu = self.tasks_cpu.load(Ordering::Relaxed) as f64;
-        let gpu = self.tasks_gpu.load(Ordering::Relaxed) as f64;
-        if cpu + gpu == 0.0 {
-            0.0
-        } else {
-            gpu / (cpu + gpu)
-        }
     }
 }
 
@@ -254,7 +233,8 @@ impl StatsSnapshot {
         Duration::from_nanos(self.backpressure_wait_nanos)
     }
 
-    /// Fraction of executed tasks that ran on the accelerator.
+    /// Fraction of executed tasks that ran on the accelerator (the "GPGPU
+    /// contribution" split of Fig. 7).
     pub fn gpu_share(&self) -> f64 {
         let total = (self.tasks_cpu + self.tasks_gpu) as f64;
         if total == 0.0 {
@@ -318,42 +298,26 @@ impl EngineStats {
         self.queries.read().clone()
     }
 
-    /// Total tuples ingested across all queries.
-    pub fn total_tuples_in(&self) -> u64 {
+    /// Counters summed across every query ever registered (removed ones
+    /// included); `latency_max_nanos` is the maximum over queries.
+    pub fn totals(&self) -> StatsSnapshot {
         self.queries
             .read()
             .iter()
-            .map(|q| q.tuples_in.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total bytes ingested across all queries.
-    pub fn total_bytes_in(&self) -> u64 {
-        self.queries
-            .read()
-            .iter()
-            .map(|q| q.bytes_in.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total tuples emitted across all queries.
-    pub fn total_tuples_out(&self) -> u64 {
-        self.queries
-            .read()
-            .iter()
-            .map(|q| q.tuples_out.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total producer time spent blocked on backpressure, across all queries.
-    pub fn total_backpressure_wait(&self) -> Duration {
-        Duration::from_nanos(
-            self.queries
-                .read()
-                .iter()
-                .map(|q| q.backpressure_wait_nanos.load(Ordering::Relaxed))
-                .sum(),
-        )
+            .map(|q| q.snapshot())
+            .fold(StatsSnapshot::default(), |a, q| StatsSnapshot {
+                tuples_in: a.tuples_in + q.tuples_in,
+                bytes_in: a.bytes_in + q.bytes_in,
+                tasks_created: a.tasks_created + q.tasks_created,
+                tasks_cpu: a.tasks_cpu + q.tasks_cpu,
+                tasks_gpu: a.tasks_gpu + q.tasks_gpu,
+                tuples_out: a.tuples_out + q.tuples_out,
+                latency_sum_nanos: a.latency_sum_nanos + q.latency_sum_nanos,
+                latency_samples: a.latency_samples + q.latency_samples,
+                latency_max_nanos: a.latency_max_nanos.max(q.latency_max_nanos),
+                backpressure_wait_nanos: a.backpressure_wait_nanos + q.backpressure_wait_nanos,
+                backpressure_waits: a.backpressure_waits + q.backpressure_waits,
+            })
     }
 }
 
@@ -364,11 +328,11 @@ mod tests {
     #[test]
     fn latency_accounting() {
         let s = QueryStats::default();
-        assert_eq!(s.avg_latency(), Duration::ZERO);
+        assert_eq!(s.snapshot().avg_latency(), Duration::ZERO);
         s.record_latency(Duration::from_millis(10));
         s.record_latency(Duration::from_millis(20));
-        assert_eq!(s.avg_latency(), Duration::from_millis(15));
-        assert_eq!(s.max_latency(), Duration::from_millis(20));
+        assert_eq!(s.snapshot().avg_latency(), Duration::from_millis(15));
+        assert_eq!(s.snapshot().max_latency(), Duration::from_millis(20));
     }
 
     #[test]
@@ -427,17 +391,17 @@ mod tests {
         s.record_backpressure(Duration::from_micros(250));
         s.record_backpressure(Duration::from_micros(750));
         assert_eq!(s.backpressure_waits.load(Ordering::Relaxed), 2);
-        assert_eq!(s.backpressure_wait(), Duration::from_millis(1));
+        assert_eq!(s.snapshot().backpressure_wait(), Duration::from_millis(1));
     }
 
     #[test]
     fn gpu_share_reflects_task_split() {
         let s = QueryStats::default();
-        assert_eq!(s.gpu_share(), 0.0);
+        assert_eq!(s.snapshot().gpu_share(), 0.0);
         s.record_task(Processor::Cpu);
         s.record_task(Processor::Cpu);
         s.record_task(Processor::Gpu);
-        assert!((s.gpu_share() - 1.0 / 3.0).abs() < 1e-9);
+        assert!((s.snapshot().gpu_share() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -450,9 +414,14 @@ mod tests {
         b.tuples_in.store(5, Ordering::Relaxed);
         a.bytes_in.store(100, Ordering::Relaxed);
         b.tuples_out.store(3, Ordering::Relaxed);
-        assert_eq!(e.total_tuples_in(), 15);
-        assert_eq!(e.total_bytes_in(), 100);
-        assert_eq!(e.total_tuples_out(), 3);
+        a.record_latency(Duration::from_millis(4));
+        b.record_latency(Duration::from_millis(2));
+        let totals = e.totals();
+        assert_eq!(totals.tuples_in, 15);
+        assert_eq!(totals.bytes_in, 100);
+        assert_eq!(totals.tuples_out, 3);
+        assert_eq!(totals.latency_samples, 2);
+        assert_eq!(totals.max_latency(), Duration::from_millis(4));
         assert_eq!(e.queries().len(), 2);
         assert_eq!(e.len(), 2);
         assert_eq!(

@@ -143,7 +143,7 @@ impl PlacementMap {
             gpu_rate: self.matrix.value(id, Processor::Gpu),
             cpu_samples: self.matrix.samples(id, Processor::Cpu),
             gpu_samples: self.matrix.samples(id, Processor::Gpu),
-            gpu_task_share: stats.map(|s| s.gpu_share()).unwrap_or(0.0),
+            gpu_task_share: stats.map(|s| s.snapshot().gpu_share()).unwrap_or(0.0),
         })
     }
 }

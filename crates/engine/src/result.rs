@@ -381,6 +381,6 @@ mod tests {
         assert_eq!(sink.tuples_emitted(), 1);
         let out = sink.take_rows();
         assert_eq!(out.row(0).get_i64(1), 8);
-        assert!(stats.avg_latency() > std::time::Duration::ZERO);
+        assert!(stats.snapshot().avg_latency() > std::time::Duration::ZERO);
     }
 }

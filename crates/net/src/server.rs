@@ -388,6 +388,28 @@ impl Waker {
             let _ = (&self.tx).write(&[1u8]);
         }
     }
+
+    /// Empties the wake socket `rx`, then disarms. The order matters: a
+    /// `wake()` racing a disarm-first drain would re-arm and write a byte
+    /// the drain then swallows, leaving `armed` set with the socket empty —
+    /// every later wake would be dropped until some unrelated event woke
+    /// the loop. Disarming after the socket reads empty means a racing
+    /// wake either lands before the disarm, so the loop sees what it
+    /// announced when it services the dirty list and re-reads its flags
+    /// (both after this drain, before it blocks again), or writes a fresh
+    /// byte that keeps the socket readable.
+    fn drain(&self, rx: &UnixStream) {
+        let mut scratch = [0u8; 64];
+        loop {
+            match (&*rx).read(&mut scratch) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            }
+        }
+        self.armed.store(false, Ordering::SeqCst);
+    }
 }
 
 /// Aggregate transport counters, updated by the loop, the workers and the
@@ -905,7 +927,7 @@ fn event_loop(
         for event in &events {
             match event.token {
                 TOKEN_LISTENER => el.accept_ready(),
-                TOKEN_WAKER => el.drain_waker(),
+                TOKEN_WAKER => el.shared.waker.drain(&el.wake_rx),
                 token => el.conn_event(token - TOKEN_BASE, event.events),
             }
         }
@@ -1012,19 +1034,6 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&id) {
                 conn.interest = Events::IN | Events::RDHUP;
                 self.flush_conn(id);
-            }
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        self.shared.waker.armed.store(false, Ordering::SeqCst);
-        let mut scratch = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut scratch) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
             }
         }
     }
@@ -1767,6 +1776,58 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The wake/drain protocol: the loop drains only when the wake socket
+    /// is readable, so after any burst of racing wakes a fresh `wake()`
+    /// must make the socket readable again. A drain that disarmed before
+    /// reading could swallow a racing wake's byte and leave the waker
+    /// armed over an empty socket, silencing every later wake.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_wake_after_a_racing_burst_always_reaches_the_loop() {
+        let (tx, rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        tx.set_nonblocking(true).unwrap();
+        let waker = Arc::new(Waker {
+            tx,
+            armed: AtomicBool::new(false),
+        });
+        let mut poller = Poller::new().unwrap();
+        poller.add(rx.as_raw_fd(), Events::IN, 0).unwrap();
+        let mut events = Vec::new();
+        let mut readable = |poller: &mut Poller, timeout_ms: i32| {
+            events.clear();
+            poller.wait(Some(timeout_ms), &mut events).unwrap();
+            !events.is_empty()
+        };
+        for round in 0..200 {
+            let done = Arc::new(AtomicBool::new(false));
+            let burst = {
+                let (waker, done) = (waker.clone(), done.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..2_000 {
+                        waker.wake();
+                    }
+                    done.store(true, Ordering::SeqCst);
+                })
+            };
+            while !done.load(Ordering::SeqCst) {
+                if readable(&mut poller, 1) {
+                    waker.drain(&rx);
+                }
+            }
+            burst.join().unwrap();
+            if readable(&mut poller, 0) {
+                waker.drain(&rx);
+            }
+            waker.wake();
+            assert!(
+                readable(&mut poller, 1_000),
+                "round {round}: wake() after a burst did not make the socket readable"
+            );
+            waker.drain(&rx);
+        }
+    }
 
     #[test]
     fn nop_frame_bytes_match_the_codec() {

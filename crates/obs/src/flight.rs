@@ -9,14 +9,17 @@
 //! ## Seqlock slots
 //!
 //! Each slot carries a version counter: a writer claims a slot index from
-//! the `head` ticket, bumps the version to odd (write in progress), stores
-//! the fields, then publishes the even successor version with `Release`.
-//! Readers load the version with `Acquire`, copy the fields, fence, and
-//! re-check the version — a torn read (version odd, or changed between the
-//! two loads) is discarded, never surfaced. Two writers lapping the whole
-//! ring onto one slot can interleave; the version re-check discards that
-//! slot too. All fields are plain atomics, so the worst outcome of any race
-//! is a dropped trace row — never undefined behaviour.
+//! the `head` ticket, moves the version from even to odd with a CAS (write
+//! in progress), stores the fields, then publishes the even successor
+//! version with `Release`. Readers load the version with `Acquire`, copy
+//! the fields, fence, and re-check the version — a torn read (version odd,
+//! or changed between the two loads) is discarded, never surfaced. A
+//! writer that laps the whole ring onto a slot another writer still holds
+//! finds the version odd (or loses the CAS) and drops its trace: two
+//! writers bumping one version would leave it even mid-write, and a reader
+//! could then accept a mix of both. All fields are plain atomics, so the
+//! worst outcome of any race is a dropped trace row — never undefined
+//! behaviour.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -109,9 +112,18 @@ impl FlightRecorder {
         // slot's own version, not the head.
         let idx = (self.head.fetch_add(1, Ordering::Relaxed) & self.mask) as usize;
         let slot = &self.slots[idx];
+        let v0 = slot.version.load(Ordering::Relaxed);
         // relaxed-ok: seqlock begin-write marker (odd); the Release fence
-        // below orders it before the field stores for readers.
-        let v0 = slot.version.fetch_add(1, Ordering::Relaxed);
+        // below orders it before the field stores for readers. Only an
+        // even version can be claimed, so one writer owns the slot.
+        let claimed = v0.is_multiple_of(2)
+            && slot
+                .version
+                .compare_exchange(v0, v0 + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok();
+        if !claimed {
+            return; // a lapped writer still holds this slot; drop the trace
+        }
         fence(Ordering::Release);
         // relaxed-ok: seqlock payload; published by the version store below.
         slot.query.store(query, Ordering::Relaxed);

@@ -196,10 +196,22 @@ struct Subscriber {
     ready: Arc<AtomicBool>,
 }
 
+/// The session state behind [`Shared::lock`]: the protocol-level query
+/// slots. The engine lives outside it (in [`Shared`]), so scrapes and
+/// `STATS` lock only to copy ids and subscriber counts.
 struct State {
-    engine: Saber,
     /// Indexed by query id; `None` marks a dropped query's retired slot.
     queries: Vec<Option<QueryReg>>,
+}
+
+impl State {
+    /// The live (registered, not dropped) query slots with their ids.
+    fn live(&self) -> impl Iterator<Item = (usize, &QueryReg)> {
+        self.queries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| q.as_ref().filter(|reg| !reg.dropped).map(|reg| (i, reg)))
+    }
 }
 
 /// The broadcaster's wake signal: set by sink push-notifications, new
@@ -235,6 +247,10 @@ impl Notifier {
 }
 
 struct Shared {
+    /// The one engine every connection multiplexes onto. Its own methods
+    /// take `&self` and synchronize internally, so reading it needs no
+    /// session lock.
+    engine: Saber,
     state: Mutex<State>,
     catalog: SharedCatalog,
     notifier: Arc<Notifier>,
@@ -272,15 +288,7 @@ impl Shared {
     /// the ids that *are* live, so a client can recover without a round
     /// trip through `QUERIES`.
     fn unknown_query(&self, st: &State, id: usize) -> String {
-        let known: Vec<String> = st
-            .queries
-            .iter()
-            .enumerate()
-            .filter_map(|(i, q)| match q {
-                Some(reg) if !reg.dropped => Some(i.to_string()),
-                _ => None,
-            })
-            .collect();
+        let known: Vec<String> = st.live().map(|(i, _)| i.to_string()).collect();
         if known.is_empty() {
             format!("ERR query unknown query {id} (no queries registered; send QUERY first)")
         } else {
@@ -351,8 +359,8 @@ impl Server {
             SharedCatalog::from_catalog(catalog)
         };
         let shared = Arc::new(Shared {
+            engine,
             state: Mutex::new(State {
-                engine,
                 queries: Vec::new(),
             }),
             catalog: shared_catalog,
@@ -369,7 +377,7 @@ impl Server {
         if let Some(report) = recovered {
             let mut st = shared.lock();
             for rq in &report.queries {
-                let Some(handle) = st.engine.query(rq.id) else {
+                let Some(handle) = shared.engine.query(rq.id) else {
                     continue;
                 };
                 let query = shared.catalog.compile(&rq.sql).map_err(|e| {
@@ -463,7 +471,7 @@ impl Server {
             net.quiesce();
         }
         // Stop the engine — reject-then-drain makes this deterministic.
-        let stop_result = self.shared.lock().engine.stop();
+        let stop_result = self.shared.engine.stop();
         // Engine results are final; let the broadcaster flush them and
         // append END to every subscriber's outbox.
         self.shared.finish_broadcast.store(true, Ordering::SeqCst);
@@ -476,23 +484,20 @@ impl Server {
         if let Some(net) = net {
             net.shutdown(Duration::from_secs(5));
         }
-        let report = {
-            let st = self.shared.lock();
-            ShutdownReport {
-                queries: (0..st.engine.registered_queries())
-                    .map(|i| {
-                        let snap = st
-                            .engine
-                            .query_stats(QueryId(i))
-                            .expect("stats are retained for every registered query")
-                            .snapshot();
-                        QueryReport {
-                            tuples_in: snap.tuples_in,
-                            tuples_out: snap.tuples_out,
-                        }
-                    })
-                    .collect(),
-            }
+        let engine = &self.shared.engine;
+        let report = ShutdownReport {
+            queries: (0..engine.registered_queries())
+                .map(|i| {
+                    let snap = engine
+                        .query_stats(QueryId(i))
+                        .expect("stats are retained for every registered query")
+                        .snapshot();
+                    QueryReport {
+                        tuples_in: snap.tuples_in,
+                        tuples_out: snap.tuples_out,
+                    }
+                })
+                .collect(),
         };
         stop_result?;
         Ok(report)
@@ -736,7 +741,7 @@ fn handle_frame(shared: &Arc<Shared>, conn: &ConnHandle, frame: Frame) {
 fn handle_http(shared: &Arc<Shared>, conn: &ConnHandle, path: &str) {
     let (status, body) = match path {
         "/metrics" => ("200 OK", render_metrics(shared)),
-        "/traces" => ("200 OK", shared.lock().engine.flight_recorder().dump_text()),
+        "/traces" => ("200 OK", shared.engine.flight_recorder().dump_text()),
         _ => (
             "404 Not Found",
             "not found (try /metrics or /traces)\n".to_string(),
@@ -761,6 +766,15 @@ fn handle_http(shared: &Arc<Shared>, conn: &ConnHandle, path: &str) {
 /// the HTTP scrape path, the text `METRICS` verb and the binary `Metrics`
 /// frame (see `docs/observability.md` for the catalog).
 fn render_metrics(shared: &Arc<Shared>) -> String {
+    // The session lock covers only the copy of what the slot table alone
+    // knows; the engine is read and the body formatted without it, so a
+    // scrape never stalls an `INSERT`.
+    let live: Vec<(usize, usize)> = shared
+        .lock()
+        .live()
+        .map(|(id, reg)| (id, reg.subscribers.len()))
+        .collect();
+    let engine = &shared.engine;
     let mut out = String::with_capacity(8192);
     let mut w = PromWriter::new(&mut out);
     w.gauge(
@@ -769,230 +783,217 @@ fn render_metrics(shared: &Arc<Shared>) -> String {
         &[],
         shared.started.elapsed().as_secs_f64(),
     );
-    {
-        let st = shared.lock();
-        let stats = st.engine.stats();
+    let totals = engine.stats().totals();
+    w.counter(
+        "saber_engine_tuples_in_total",
+        "Rows accepted into input buffers, across all queries ever registered.",
+        &[],
+        totals.tuples_in as f64,
+    );
+    w.counter(
+        "saber_engine_bytes_in_total",
+        "Bytes accepted into input buffers.",
+        &[],
+        totals.bytes_in as f64,
+    );
+    w.counter(
+        "saber_engine_tuples_out_total",
+        "Result rows emitted, across all queries.",
+        &[],
+        totals.tuples_out as f64,
+    );
+    w.counter(
+        "saber_engine_backpressure_wait_seconds_total",
+        "Time producers spent blocked on the credit gate.",
+        &[],
+        totals.backpressure_wait().as_secs_f64(),
+    );
+    w.gauge(
+        "saber_queries",
+        "Live registered queries.",
+        &[],
+        live.len() as f64,
+    );
+    w.gauge(
+        "saber_physical_plans",
+        "Physical plan instances executing (shared plans count once).",
+        &[],
+        engine.num_physical_plans() as f64,
+    );
+    w.gauge(
+        "saber_queued_tasks",
+        "Query tasks currently queued for the scheduler.",
+        &[],
+        engine.queued_tasks() as f64,
+    );
+    w.gauge(
+        "saber_queued_tasks_peak",
+        "High-water mark of the task queue depth.",
+        &[],
+        engine.max_queued_tasks_observed() as f64,
+    );
+    w.gauge(
+        "saber_in_flight_tasks",
+        "Tasks dispatched to a processor and not yet returned.",
+        &[],
+        engine.in_flight_tasks() as f64,
+    );
+    for &(id, subscribers) in &live {
+        let q = id.to_string();
+        let labels: [(&str, &str); 1] = [("query", q.as_str())];
+        let Some(qstats) = engine.query_stats(QueryId(id)) else {
+            continue;
+        };
+        let snap = qstats.snapshot();
         w.counter(
-            "saber_engine_tuples_in_total",
-            "Rows accepted into input buffers, across all queries ever registered.",
-            &[],
-            stats.total_tuples_in() as f64,
+            "saber_query_tuples_in_total",
+            "Rows accepted into this query's input buffers.",
+            &labels,
+            snap.tuples_in as f64,
         );
         w.counter(
-            "saber_engine_bytes_in_total",
-            "Bytes accepted into input buffers.",
-            &[],
-            stats.total_bytes_in() as f64,
+            "saber_query_bytes_in_total",
+            "Bytes accepted into this query's input buffers.",
+            &labels,
+            snap.bytes_in as f64,
         );
         w.counter(
-            "saber_engine_tuples_out_total",
-            "Result rows emitted, across all queries.",
-            &[],
-            stats.total_tuples_out() as f64,
+            "saber_query_tuples_out_total",
+            "Result rows emitted by this query.",
+            &labels,
+            snap.tuples_out as f64,
         );
         w.counter(
-            "saber_engine_backpressure_wait_seconds_total",
-            "Time producers spent blocked on the credit gate.",
-            &[],
-            stats.total_backpressure_wait().as_secs_f64(),
+            "saber_query_tasks_created_total",
+            "Query tasks cut by the dispatcher for this query.",
+            &labels,
+            snap.tasks_created as f64,
         );
-        let live = st
-            .queries
-            .iter()
-            .flatten()
-            .filter(|reg| !reg.dropped)
-            .count();
-        w.gauge(
-            "saber_queries",
-            "Live registered queries.",
-            &[],
-            live as f64,
+        w.counter(
+            "saber_query_tasks_total",
+            "Tasks executed, by processor.",
+            &[("query", q.as_str()), ("processor", "cpu")],
+            snap.tasks_cpu as f64,
         );
-        w.gauge(
-            "saber_physical_plans",
-            "Physical plan instances executing (shared plans count once).",
-            &[],
-            st.engine.num_physical_plans() as f64,
+        w.counter(
+            "saber_query_tasks_total",
+            "Tasks executed, by processor.",
+            &[("query", q.as_str()), ("processor", "gpgpu")],
+            snap.tasks_gpu as f64,
         );
-        w.gauge(
-            "saber_queued_tasks",
-            "Query tasks currently queued for the scheduler.",
-            &[],
-            st.engine.queued_tasks() as f64,
+        w.counter(
+            "saber_query_latency_seconds_total",
+            "Summed end-to-end (ingest to sink) result latency.",
+            &labels,
+            snap.latency_sum_nanos as f64 / 1e9,
         );
-        w.gauge(
-            "saber_queued_tasks_peak",
-            "High-water mark of the task queue depth.",
-            &[],
-            st.engine.max_queued_tasks_observed() as f64,
+        w.counter(
+            "saber_query_latency_samples_total",
+            "Latency observations behind the latency sum.",
+            &labels,
+            snap.latency_samples as f64,
         );
         w.gauge(
-            "saber_in_flight_tasks",
-            "Tasks dispatched to a processor and not yet returned.",
-            &[],
-            st.engine.in_flight_tasks() as f64,
+            "saber_query_latency_max_seconds",
+            "Worst end-to-end result latency observed.",
+            &labels,
+            snap.latency_max_nanos as f64 / 1e9,
         );
-        for (id, slot) in st.queries.iter().enumerate() {
-            let Some(reg) = slot else { continue };
-            if reg.dropped {
-                continue;
-            }
-            let q = id.to_string();
-            let labels: [(&str, &str); 1] = [("query", q.as_str())];
-            let Some(qstats) = st.engine.query_stats(QueryId(id)) else {
-                continue;
-            };
-            let snap = qstats.snapshot();
-            w.counter(
-                "saber_query_tuples_in_total",
-                "Rows accepted into this query's input buffers.",
-                &labels,
-                snap.tuples_in as f64,
-            );
-            w.counter(
-                "saber_query_bytes_in_total",
-                "Bytes accepted into this query's input buffers.",
-                &labels,
-                snap.bytes_in as f64,
-            );
-            w.counter(
-                "saber_query_tuples_out_total",
-                "Result rows emitted by this query.",
-                &labels,
-                snap.tuples_out as f64,
-            );
-            w.counter(
-                "saber_query_tasks_created_total",
-                "Query tasks cut by the dispatcher for this query.",
-                &labels,
-                snap.tasks_created as f64,
-            );
-            w.counter(
-                "saber_query_tasks_total",
-                "Tasks executed, by processor.",
-                &[("query", q.as_str()), ("processor", "cpu")],
-                snap.tasks_cpu as f64,
-            );
-            w.counter(
-                "saber_query_tasks_total",
-                "Tasks executed, by processor.",
-                &[("query", q.as_str()), ("processor", "gpgpu")],
-                snap.tasks_gpu as f64,
-            );
-            w.counter(
-                "saber_query_latency_seconds_total",
-                "Summed end-to-end (ingest to sink) result latency.",
-                &labels,
-                snap.latency_sum_nanos as f64 / 1e9,
-            );
-            w.counter(
-                "saber_query_latency_samples_total",
-                "Latency observations behind the latency sum.",
-                &labels,
-                snap.latency_samples as f64,
-            );
-            w.gauge(
-                "saber_query_latency_max_seconds",
-                "Worst end-to-end result latency observed.",
-                &labels,
-                snap.latency_max_nanos as f64 / 1e9,
-            );
-            w.counter(
-                "saber_query_backpressure_wait_seconds_total",
-                "Time this query's producers spent blocked on the credit gate.",
-                &labels,
-                snap.backpressure_wait().as_secs_f64(),
-            );
-            w.gauge(
-                "saber_query_queue_depth",
-                "Tasks of this query currently queued.",
-                &labels,
-                st.engine.queue_depth(QueryId(id)) as f64,
-            );
-            w.gauge(
-                "saber_query_subscribers",
-                "Connections subscribed to this query's results.",
-                &labels,
-                reg.subscribers.len() as f64,
-            );
-            for (stage, stage_snap) in qstats.stages.snapshots() {
-                w.histogram(
-                    "saber_query_stage_latency_seconds",
-                    "Per-task pipeline stage latency (empty unless stage \
-                     timestamping is enabled).",
-                    &[("query", q.as_str()), ("stage", stage)],
-                    &stage_snap,
-                    1e9,
-                );
-            }
-        }
-        for d in st.engine.placements() {
-            let q = d.query.0.to_string();
-            let labels: [(&str, &str); 1] = [("query", q.as_str())];
-            w.gauge(
-                "saber_placement_gpu_preferred",
-                "1 while the scheduler routes this query's tasks to the accelerator.",
-                &labels,
-                if d.preferred == Processor::Gpu {
-                    1.0
-                } else {
-                    0.0
-                },
-            );
-            w.gauge(
-                "saber_placement_modeled_speedup",
-                "Cost model's CPU-time / GPU-time ratio for one task.",
-                &labels,
-                d.modeled_speedup,
-            );
-            w.gauge(
-                "saber_sched_task_rate",
-                "Observed task throughput of the HLS matrix, by processor (tasks/s).",
-                &[("query", q.as_str()), ("processor", "cpu")],
-                d.cpu_rate,
-            );
-            w.gauge(
-                "saber_sched_task_rate",
-                "Observed task throughput of the HLS matrix, by processor (tasks/s).",
-                &[("query", q.as_str()), ("processor", "gpgpu")],
-                d.gpu_rate,
+        w.counter(
+            "saber_query_backpressure_wait_seconds_total",
+            "Time this query's producers spent blocked on the credit gate.",
+            &labels,
+            snap.backpressure_wait().as_secs_f64(),
+        );
+        w.gauge(
+            "saber_query_queue_depth",
+            "Tasks of this query currently queued.",
+            &labels,
+            engine.queue_depth(QueryId(id)) as f64,
+        );
+        w.gauge(
+            "saber_query_subscribers",
+            "Connections subscribed to this query's results.",
+            &labels,
+            subscribers as f64,
+        );
+        for (stage, stage_snap) in qstats.stages.snapshots() {
+            w.histogram(
+                "saber_query_stage_latency_seconds",
+                "Per-task pipeline stage latency (empty unless stage \
+                 timestamping is enabled).",
+                &[("query", q.as_str()), ("stage", stage)],
+                &stage_snap,
+                1e9,
             );
         }
-        if let Some(d) = st.engine.durability_stats() {
-            w.gauge(
-                "saber_wal_bytes",
-                "Framed bytes appended to the write-ahead log.",
-                &[],
-                d.wal_bytes as f64,
-            );
-            w.gauge(
-                "saber_wal_segments",
-                "WAL segment files currently on disk.",
-                &[],
-                d.wal_segments as f64,
-            );
-            if let Some(cp) = d.last_checkpoint {
-                w.gauge(
-                    "saber_wal_last_checkpoint",
-                    "WAL position of the newest catalog snapshot.",
-                    &[],
-                    cp as f64,
-                );
-            }
-            w.counter(
-                "saber_recovery_replayed_rows_total",
-                "Rows re-ingested by crash recovery at startup.",
-                &[],
-                d.recovery_replayed_rows as f64,
-            );
-        }
-        w.counter(
-            "saber_trace_records_total",
-            "Pipeline task traces captured by the flight recorder.",
-            &[],
-            st.engine.flight_recorder().recorded() as f64,
+    }
+    for d in engine.placements() {
+        let q = d.query.0.to_string();
+        let labels: [(&str, &str); 1] = [("query", q.as_str())];
+        w.gauge(
+            "saber_placement_gpu_preferred",
+            "1 while the scheduler routes this query's tasks to the accelerator.",
+            &labels,
+            if d.preferred == Processor::Gpu {
+                1.0
+            } else {
+                0.0
+            },
+        );
+        w.gauge(
+            "saber_placement_modeled_speedup",
+            "Cost model's CPU-time / GPU-time ratio for one task.",
+            &labels,
+            d.modeled_speedup,
+        );
+        w.gauge(
+            "saber_sched_task_rate",
+            "Observed task throughput of the HLS matrix, by processor (tasks/s).",
+            &[("query", q.as_str()), ("processor", "cpu")],
+            d.cpu_rate,
+        );
+        w.gauge(
+            "saber_sched_task_rate",
+            "Observed task throughput of the HLS matrix, by processor (tasks/s).",
+            &[("query", q.as_str()), ("processor", "gpgpu")],
+            d.gpu_rate,
         );
     }
+    if let Some(d) = engine.durability_stats() {
+        w.gauge(
+            "saber_wal_bytes",
+            "Framed bytes appended to the write-ahead log.",
+            &[],
+            d.wal_bytes as f64,
+        );
+        w.gauge(
+            "saber_wal_segments",
+            "WAL segment files currently on disk.",
+            &[],
+            d.wal_segments as f64,
+        );
+        if let Some(cp) = d.last_checkpoint {
+            w.gauge(
+                "saber_wal_last_checkpoint",
+                "WAL position of the newest catalog snapshot.",
+                &[],
+                cp as f64,
+            );
+        }
+        w.counter(
+            "saber_recovery_replayed_rows_total",
+            "Rows re-ingested by crash recovery at startup.",
+            &[],
+            d.recovery_replayed_rows as f64,
+        );
+    }
+    w.counter(
+        "saber_trace_records_total",
+        "Pipeline task traces captured by the flight recorder.",
+        &[],
+        engine.flight_recorder().recorded() as f64,
+    );
     if let Some(net) = shared.net_metrics.get() {
         w.gauge(
             "saber_net_connections",
@@ -1112,17 +1113,11 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
             // through it logs the stream for recovery (identical
             // redefinitions are no-ops). `shared.catalog` is the same
             // handle, so compilation sees the stream either way.
-            let durable = {
-                let st = shared.lock();
-                match st.engine.shared_catalog() {
-                    Some(_) => match st.engine.create_stream(&name, schema.clone()) {
-                        Ok(()) => true,
-                        Err(e) => return saber_err(&e),
-                    },
-                    None => false,
+            if shared.engine.shared_catalog().is_some() {
+                if let Err(e) = shared.engine.create_stream(&name, schema) {
+                    return saber_err(&e);
                 }
-            };
-            if !durable {
+            } else {
                 shared.catalog.register(&name, schema);
             }
             format!("OK stream {name}")
@@ -1149,7 +1144,7 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
             // live set immediately, whatever traffic is already flowing.
             // The SQL text rides along so a durable engine can log the
             // registration and restore it on recovery.
-            match st.engine.add_query_with_sql(query, &clean_sql) {
+            match shared.engine.add_query_with_sql(query, &clean_sql) {
                 Ok(handle) => {
                     // Engine ids are monotonic but may skip a value if a
                     // registration was abandoned; index the slot table by
@@ -1214,15 +1209,7 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
         }
         Command::Queries => {
             let st = shared.lock();
-            let live: Vec<(usize, &QueryReg)> = st
-                .queries
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| match q {
-                    Some(reg) if !reg.dropped => Some((i, reg)),
-                    _ => None,
-                })
-                .collect();
+            let live: Vec<(usize, &QueryReg)> = st.live().collect();
             let mut out = format!("OK queries {}", live.len());
             for (id, reg) in live {
                 out.push_str(&format!(" [{id}] {}", reg.sql));
@@ -1232,14 +1219,8 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
         Command::Stats { query: None } => {
             // Engine-wide summary: uptime, totals across every query (live
             // and dropped — ids are never reused), plan count, connections.
-            let st = shared.lock();
-            let live = st
-                .queries
-                .iter()
-                .flatten()
-                .filter(|reg| !reg.dropped)
-                .count();
-            let stats = st.engine.stats();
+            let live = shared.lock().live().count();
+            let totals = shared.engine.stats().totals();
             let connections = shared
                 .net_metrics
                 .get()
@@ -1249,22 +1230,24 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
                 "OK stats uptime_secs={} queries={live} tuples_in={} tuples_out={} \
                  physical_queries={} queued_tasks={} connections={connections}",
                 shared.started.elapsed().as_secs(),
-                stats.total_tuples_in(),
-                stats.total_tuples_out(),
-                st.engine.num_physical_plans(),
-                st.engine.queued_tasks(),
+                totals.tuples_in,
+                totals.tuples_out,
+                shared.engine.num_physical_plans(),
+                shared.engine.queued_tasks(),
             )
         }
         Command::Stats { query: Some(query) } => {
-            let st = shared.lock();
-            let subscribers = match st.queries.get(query) {
-                Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
-                _ => return shared.unknown_query(&st, query),
+            let subscribers = {
+                let st = shared.lock();
+                match st.queries.get(query) {
+                    Some(Some(reg)) if !reg.dropped => reg.subscribers.len(),
+                    _ => return shared.unknown_query(&st, query),
+                }
             };
+            let engine = &shared.engine;
             // One consistent snapshot instead of a torn series of relaxed
             // loads (the latency pair in particular is seqlock-protected).
-            let snap = st
-                .engine
+            let snap = engine
                 .query_stats(QueryId(query))
                 .expect("registered query")
                 .snapshot();
@@ -1276,7 +1259,7 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
                 snap.bytes_in,
                 snap.tuples_out,
                 snap.tasks_created,
-                st.engine.queue_depth(QueryId(query)),
+                engine.queue_depth(QueryId(query)),
                 snap.avg_latency().as_micros(),
                 snap.max_latency().as_micros(),
             );
@@ -1284,16 +1267,16 @@ fn execute(shared: &Arc<Shared>, conn: &ConnHandle, command: Command) -> String 
             // executes on and how many logical queries share it, plus the
             // engine-wide physical plan count (so clients can observe that N
             // identical QUERYs cost one plan, not N).
-            if let Some((phys, members)) = st.engine.sharing_info(QueryId(query)) {
+            if let Some((phys, members)) = engine.sharing_info(QueryId(query)) {
                 line.push_str(&format!(" physical={} members={members}", phys.0));
             }
             line.push_str(&format!(
                 " physical_queries={}",
-                st.engine.num_physical_plans()
+                engine.num_physical_plans()
             ));
             // Durability section (engine-wide, appended on durable servers
             // only): WAL volume, checkpoint position, recovery replay count.
-            if let Some(durability) = st.engine.durability_stats() {
+            if let Some(durability) = engine.durability_stats() {
                 let last_checkpoint = match durability.last_checkpoint {
                     Some(seq) => seq.to_string(),
                     None => "none".to_string(),
@@ -1420,7 +1403,7 @@ fn drop_query(shared: &Arc<Shared>, query: usize) -> String {
     // query would haunt `QUERIES` forever.
     let deregistered = {
         let mut st = shared.lock();
-        if st.engine.query(QueryId(query)).is_none() {
+        if shared.engine.query(QueryId(query)).is_none() {
             if let Some(Some(reg)) = st.queries.get_mut(query) {
                 reg.dropped = true;
             }

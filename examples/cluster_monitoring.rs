@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     for (i, name) in ["CM1", "CM2"].iter().enumerate() {
-        let stats = engine.query_stats(QueryId(i)).unwrap();
+        let stats = engine.query_stats(QueryId(i)).unwrap().snapshot();
         println!(
             "{name}: {:.1}% of tasks ran on the accelerator, avg latency {:?}",
             stats.gpu_share() * 100.0,

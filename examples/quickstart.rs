@@ -51,11 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         counts.tuples_emitted()
     );
 
-    let stats = counts.stats();
+    let stats = counts.stats().snapshot();
     println!(
         "counts-per-key: {} tasks on CPU, {} on the accelerator, avg latency {:?}",
-        stats.tasks_cpu.load(std::sync::atomic::Ordering::Relaxed),
-        stats.tasks_gpu.load(std::sync::atomic::Ordering::Relaxed),
+        stats.tasks_cpu,
+        stats.tasks_gpu,
         stats.avg_latency()
     );
 

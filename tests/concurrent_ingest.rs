@@ -155,8 +155,22 @@ fn backpressure_under_concurrent_producers_is_lossless_and_observed() {
         (PRODUCERS * ROWS_PER_PRODUCER) as u64
     );
     assert!(engine.max_queued_tasks_observed() <= 2);
-    let (waits, _) = engine.backpressure_stats();
+    let (waits, waited) = engine.backpressure_stats();
     assert!(waits > 0, "expected producers to hit the credit gate");
+    // The engine-wide figure is the sum of the per-query counters: the
+    // wait is counted once, where the stalled query's task was submitted.
+    let (sum_waits, sum_nanos) = engine
+        .stats()
+        .queries()
+        .iter()
+        .map(|q| q.snapshot())
+        .fold((0, 0), |(w, n), s| {
+            (w + s.backpressure_waits, n + s.backpressure_wait_nanos)
+        });
+    assert_eq!(
+        (waits, waited),
+        (sum_waits, std::time::Duration::from_nanos(sum_nanos))
+    );
 }
 
 /// Interleaved two-stream ingestion from two threads must keep a join query

@@ -163,7 +163,7 @@ fn remove_snapshots(dir: &Path) {
 /// Recovers `dir` and asserts the replayed windows equal the reference over
 /// exactly the replayed prefix; returns the number of replayed rows.
 fn recover_and_check_prefix(dir: &Path, batches: &[Vec<u8>]) -> u64 {
-    let (mut engine, report) = Saber::recover(durable_engine_config(dir, false)).unwrap();
+    let (engine, report) = Saber::recover(durable_engine_config(dir, false)).unwrap();
     let replayed = report.replayed_rows;
     assert_eq!(replayed % 64, 0, "replay must cover whole acked batches");
     let prefix = (replayed / 64) as usize;
@@ -390,7 +390,7 @@ fn shared_queries_recover_with_same_ids_and_byte_identical_windows() {
         (batches, solo_batches)
     };
 
-    let (mut engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
+    let (engine, report) = Saber::recover(durable_engine_config(&dir.path, false)).unwrap();
     // Original ids, with the mid-history removal replayed.
     let ids: Vec<usize> = report.queries.iter().map(|q| q.id.0).collect();
     assert_eq!(ids, vec![0, 2, 3]);
@@ -555,7 +555,7 @@ fn hard_killed_server_recovers_same_ids_and_byte_identical_windows() {
     // in-process and compare both queries against uninterrupted runs.
     let image = TempDir::new("sigkill-image");
     copy_dir(&dir.path, &image.path);
-    let (mut engine, report) = Saber::recover(durable_engine_config(&image.path, false)).unwrap();
+    let (engine, report) = Saber::recover(durable_engine_config(&image.path, false)).unwrap();
     assert_eq!(report.queries.len(), 2);
     assert_eq!(report.replayed_rows, 2 * total_rows);
     let proj = engine.query(QueryId(0)).unwrap();

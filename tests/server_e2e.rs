@@ -442,9 +442,50 @@ fn http_scrape_returns_prometheus_exposition_with_stage_histograms() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
+    // Both `STATS` forms keep their keys in a fixed order: clients parse
+    // them positionally as well as by name.
+    let keys = |line: &str| -> Vec<String> {
+        line.split_whitespace()
+            .filter_map(|kv| kv.split_once('=').map(|(k, _)| k.to_string()))
+            .collect()
+    };
+    let line = c.send("STATS 0");
+    let got = keys(&line);
+    let mut want = vec![
+        "query",
+        "tuples_in",
+        "bytes_in",
+        "tuples_out",
+        "tasks_created",
+        "queued_tasks",
+        "subscribers",
+        "avg_latency_us",
+        "max_latency_us",
+    ];
+    // The sharing section is absent when the query runs a private plan
+    // (`SABER_NO_SHARING=1`).
+    if got.iter().any(|k| k == "physical") {
+        want.extend(["physical", "members"]);
+    }
+    want.push("physical_queries");
+    assert_eq!(got, want, "{line}");
+
     // Engine-wide STATS: no argument, one summary line.
     let line = c.send("STATS");
     assert!(line.starts_with("OK stats uptime_secs="), "{line}");
+    assert_eq!(
+        keys(&line),
+        [
+            "uptime_secs",
+            "queries",
+            "tuples_in",
+            "tuples_out",
+            "physical_queries",
+            "queued_tasks",
+            "connections",
+        ],
+        "{line}"
+    );
     assert_eq!(field(&line, "queries"), 1, "{line}");
     assert_eq!(field(&line, "tuples_in"), TOTAL_ROWS as u64, "{line}");
     assert_eq!(field(&line, "physical_queries"), 1, "{line}");
@@ -489,6 +530,54 @@ fn http_scrape_returns_prometheus_exposition_with_stage_histograms() {
     ] {
         assert!(body.contains(needle), "missing `{needle}`");
     }
+    // The metric families, in exposition order (one live query, no
+    // durability configured). Renaming, reordering or dropping a family
+    // breaks dashboards, so the whole list is pinned.
+    let families: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .collect();
+    assert_eq!(
+        families,
+        [
+            "saber_uptime_seconds gauge",
+            "saber_engine_tuples_in_total counter",
+            "saber_engine_bytes_in_total counter",
+            "saber_engine_tuples_out_total counter",
+            "saber_engine_backpressure_wait_seconds_total counter",
+            "saber_queries gauge",
+            "saber_physical_plans gauge",
+            "saber_queued_tasks gauge",
+            "saber_queued_tasks_peak gauge",
+            "saber_in_flight_tasks gauge",
+            "saber_query_tuples_in_total counter",
+            "saber_query_bytes_in_total counter",
+            "saber_query_tuples_out_total counter",
+            "saber_query_tasks_created_total counter",
+            "saber_query_tasks_total counter",
+            "saber_query_latency_seconds_total counter",
+            "saber_query_latency_samples_total counter",
+            "saber_query_latency_max_seconds gauge",
+            "saber_query_backpressure_wait_seconds_total counter",
+            "saber_query_queue_depth gauge",
+            "saber_query_subscribers gauge",
+            "saber_query_stage_latency_seconds histogram",
+            "saber_placement_gpu_preferred gauge",
+            "saber_placement_modeled_speedup gauge",
+            "saber_sched_task_rate gauge",
+            "saber_trace_records_total counter",
+            "saber_net_connections gauge",
+            "saber_net_accepted_total counter",
+            "saber_net_bytes_read_total counter",
+            "saber_net_bytes_written_total counter",
+            "saber_net_requests_total counter",
+            "saber_net_http_requests_total counter",
+            "saber_net_quota_throttle_seconds_total counter",
+            "saber_net_slow_consumer_closes_total counter",
+            "saber_net_inflight_bytes gauge",
+            "saber_net_outbox_bytes gauge",
+        ]
+    );
     // The per-query stage histograms are populated, not just present:
     // the end-to-end "total" stage has at least one count.
     let total_count = body
