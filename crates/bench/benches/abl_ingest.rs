@@ -20,10 +20,13 @@
 //! The scaling column reports throughput relative to the single-producer
 //! baseline of the same configuration.
 //!
-//! Scaling above 1.0 requires real hardware parallelism: on a single-core
-//! host every configuration time-slices one CPU and the expected result is
-//! flat (or worse, from context switching). Run on a multi-core machine to
-//! observe the ≥1.5× multi-producer speed-up the refactor targets.
+//! Scaling above 1.0 requires real hardware parallelism, and is capped by
+//! the host's core count (`nproc`): on one core every configuration
+//! time-slices one CPU and the result is flat (or worse, from context
+//! switching); on two cores the producers also share them with the engine
+//! workers, so the speed-up stays well under 2×. Run on a machine with more
+//! cores than producers plus workers to observe the ≥1.5× multi-producer
+//! speed-up the refactor targets.
 
 use saber_bench::{bench_workers, fmt, measure_duration, Report};
 use saber_engine::{

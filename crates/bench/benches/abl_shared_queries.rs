@@ -1,19 +1,20 @@
 //! Ablation: many fingerprint-identical queries on one shared physical
 //! plan.
 //!
-//! The plan-sharing layer maps every query with the same canonical
-//! fingerprint onto a single physical instance — one set of input rings,
-//! one task-queue shard, one scheduler row — and demultiplexes results
-//! into each subscriber's sink. The cost of the Nth duplicate should
-//! therefore be ~O(1): a registry slot, a sink, and a subscription, with
-//! no ring allocation and no extra per-tuple work on the hot path. This
+//! The plan-sharing layer makes every query with the same canonical
+//! fingerprint a member of a single physical plan — one set of input
+//! rings, one task-queue shard, one scheduler row — whose result stage
+//! appends each released batch to every member's sink. The cost of the
+//! Nth duplicate should therefore be ~O(1): a registry slot, a sink, a
+//! stats block and a member entry, with no ring allocation and no extra
+//! per-tuple work on the hot path. This
 //! harness registers 1/10/100/1000 duplicates of one query shape and
 //! reports:
 //!
 //! * `register_anchor_ms` — cost of the first registration (compiles the
 //!   plan and zeroes the input ring),
 //! * `register_marginal_us` — mean cost of each *additional* duplicate
-//!   (the fast-attach path; should stay flat as N grows),
+//!   (joining the live plan; should stay flat as N grows),
 //! * `wall_s` / `per_query_cost` — time to push a fixed volume of data
 //!   through each physical plan and drain it; with sharing this should
 //!   stay ~flat versus the single-query baseline (the per-window sink
@@ -22,16 +23,17 @@
 //!   (every duplicate sees the full stream, so this scales ~N while the
 //!   physical work stays constant).
 //!
-//! Single-core caveat: on a 1-core container all numbers time-slice one
-//! CPU, so absolute throughput is modest and `per_query_cost` is the
-//! meaningful column — it isolates the marginal cost of a duplicate from
-//! hardware parallelism. Run on a multi-core machine for absolute rates.
+//! Small-host caveat: on a host with one or two cores (`nproc`) the
+//! workers and the producer time-slice those CPUs, so absolute throughput
+//! is modest and `per_query_cost` is the meaningful column — it isolates
+//! the marginal cost of a duplicate from hardware parallelism. Run on a
+//! machine with more cores for absolute rates.
 //!
 //! `SABER_NO_SHARING=1` runs the same schedule with sharing forced off
 //! (every duplicate gets private rings and private tasks). That mode is
 //! the O(N) baseline the sharing layer removes; the 1000-duplicate point
 //! is skipped there because 1000 private plans neither fit the queue
-//! budget nor finish in reasonable time on one core.
+//! budget nor finish in reasonable time on a small host.
 
 use saber_bench::{bench_workers, fmt, Report};
 use saber_engine::{EngineConfig, ExecutionMode, Saber, SchedulingPolicyKind, StreamId};
@@ -170,7 +172,7 @@ fn main() {
         if !sharing && duplicates == 1000 {
             eprintln!(
                 "abl_shared_queries: skipping 1000 duplicates with sharing off \
-                 (1000 private plans exceed the single-core time budget)"
+                 (1000 private plans exceed a small host's time budget)"
             );
             continue;
         }

@@ -24,11 +24,12 @@
 //! `RLIMIT_NOFILE` caps neither side. Both parent and workers still call
 //! `raise_nofile_limit` for their own share.
 //!
-//! **Single-core caveat**: on a 1-core host the event loop, dispatch pool,
-//! engine workers and all client threads time-slice one CPU, so latency
-//! percentiles are dominated by scheduler quanta and the absolute numbers
-//! are not meaningful — only gross regressions (or failure to hold N
-//! connections at all) are. Run on a multi-core machine for representative
+//! **Small-host caveat**: on a host with one or two cores (`nproc`) the
+//! event loop, dispatch pool, engine workers and all client threads
+//! time-slice those CPUs, so latency percentiles are dominated by
+//! scheduler quanta and the absolute numbers are not meaningful — only
+//! gross regressions (or failure to hold N connections at all) are. Run
+//! on a machine with more cores than busy threads for representative
 //! latency figures.
 
 use saber_bench::{fmt, measure_duration, Report};

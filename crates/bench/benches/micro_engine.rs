@@ -12,8 +12,9 @@ use saber_cpu::plan::CompiledPlan;
 use saber_engine::circular::CircularBuffer;
 use saber_engine::dispatcher::Dispatcher;
 use saber_engine::queue::TaskQueue;
+use saber_engine::result::ResultStage;
 use saber_engine::scheduler::{Processor, Scheduler};
-use saber_engine::{SchedulingPolicyKind, ThroughputMatrix};
+use saber_engine::{FlightRecorder, SchedulingPolicyKind, ThroughputMatrix};
 use saber_query::aggregate::AggregateFunction;
 use saber_workloads::synthetic;
 use std::hint::black_box;
@@ -59,6 +60,14 @@ fn main() {
     let w = synthetic::window_bytes(32 * 1024, 32 * 1024);
     let query = synthetic::select(4, w);
     let plan = Arc::new(CompiledPlan::compile(&query).unwrap());
+    // The stage the cut tasks would complete into (no members: nothing
+    // here executes them).
+    let result = Arc::new(ResultStage::new(
+        &plan,
+        Arc::default(),
+        Arc::new(FlightRecorder::new(8)),
+        false,
+    ));
     measure(
         &mut report,
         "dispatcher_1mb_tasks",
@@ -71,6 +80,7 @@ fn main() {
                 64 << 20,
                 Arc::new(AtomicU64::new(0)),
                 true,
+                result.clone(),
             );
             let mut tasks = 0usize;
             for chunk in data.bytes().chunks(256 * 1024) {
@@ -102,6 +112,7 @@ fn main() {
         64 << 20,
         Arc::new(AtomicU64::new(0)),
         true,
+        result,
     );
     for chunk in data.bytes().chunks(64 * 1024).take(64) {
         for t in d.ingest(0, chunk).unwrap() {

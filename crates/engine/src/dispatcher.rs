@@ -3,7 +3,7 @@
 //!
 //! saber-lint: hot-path
 //!
-//! One dispatcher exists per query, split into two halves so that producers
+//! One dispatcher exists per physical plan, split into two halves so that producers
 //! and the task cutter never serialize on each other:
 //!
 //! * **Ingest front-ends** ([`StreamIngest`], one per input stream) append
@@ -26,6 +26,7 @@
 //! window without cross-task state.
 
 use crate::circular::CircularBuffer;
+use crate::result::ResultStage;
 use crate::task::QueryTask;
 use parking_lot::{Condvar, Mutex};
 use saber_cpu::exec::StreamBatch;
@@ -172,6 +173,8 @@ struct CutterState {
 #[derive(Debug)]
 pub struct Dispatcher {
     plan: Arc<CompiledPlan>,
+    /// The plan's result stage, handed to every cut task.
+    result: Arc<ResultStage>,
     query_id: usize,
     task_size: usize,
     streams: Vec<Arc<StreamIngest>>,
@@ -193,13 +196,15 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates the dispatcher for a compiled query.
+    /// Creates the dispatcher for a compiled query whose tasks complete
+    /// into `result`.
     pub fn new(
         plan: Arc<CompiledPlan>,
         task_size: usize,
         buffer_capacity: usize,
         global_task_ids: Arc<AtomicU64>,
         stage_timestamps: bool,
+        result: Arc<ResultStage>,
     ) -> Self {
         let streams = plan
             .input_schemas()
@@ -218,6 +223,7 @@ impl Dispatcher {
         Self {
             query_id: plan.query_id(),
             plan,
+            result,
             task_size: task_size.max(1),
             streams,
             cutter: Mutex::new(CutterState { next_seq: 0 }),
@@ -446,6 +452,7 @@ impl Dispatcher {
             query_id: self.query_id,
             seq,
             plan: self.plan.clone(),
+            result: self.result.clone(),
             batches,
             created,
             ingest_ack,
@@ -498,6 +505,18 @@ mod tests {
         buf.into_bytes()
     }
 
+    fn dispatch(plan: Arc<CompiledPlan>, task_size: usize, capacity: usize) -> Dispatcher {
+        let result = ResultStage::detached(&plan);
+        Dispatcher::new(
+            plan,
+            task_size,
+            capacity,
+            Arc::new(AtomicU64::new(0)),
+            true,
+            result,
+        )
+    }
+
     fn dispatcher(task_size: usize) -> Dispatcher {
         let q = QueryBuilder::new("sel", schema())
             .count_window(64, 64)
@@ -505,7 +524,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
-        Dispatcher::new(plan, task_size, 1 << 20, Arc::new(AtomicU64::new(0)), true)
+        dispatch(plan, task_size, 1 << 20)
     }
 
     #[test]
@@ -567,7 +586,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
-        let d = Dispatcher::new(plan, 256 * 16, 16 * 1024, Arc::new(AtomicU64::new(0)), true);
+        let d = dispatch(plan, 256 * 16, 16 * 1024);
         let tasks = d.ingest(0, &rows(4096, 0)).unwrap();
         let total: usize = tasks.iter().map(|t| t.rows()).sum();
         assert_eq!(total, 4096);
@@ -593,7 +612,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
-        let d = Dispatcher::new(plan, 32 * 16, 1 << 20, Arc::new(AtomicU64::new(0)), true);
+        let d = dispatch(plan, 32 * 16, 1 << 20);
         // Fill both inputs; a task is cut when the *sum* of pending bytes
         // reaches φ (here 32 rows total).
         let t1 = d.ingest(0, &rows(16, 0)).unwrap();
@@ -627,7 +646,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
-        let d = Dispatcher::new(plan, 1 << 20, 4096, Arc::new(AtomicU64::new(0)), true);
+        let d = dispatch(plan, 1 << 20, 4096);
         let err = d.ingest(0, &rows(256, 0)).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("lookback"), "unexpected error: {msg}");
@@ -647,7 +666,7 @@ mod tests {
             .build()
             .unwrap();
         let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
-        let d = Dispatcher::new(plan, 32 * 16, 1024, Arc::new(AtomicU64::new(0)), true);
+        let d = dispatch(plan, 32 * 16, 1024);
         let mut tasks = Vec::new();
         for round in 0..64 {
             tasks.extend(d.ingest(0, &rows(16, round * 16)).unwrap());

@@ -3,8 +3,8 @@
 //! The query set is **dynamic**: [`Saber::add_query`] takes `&self` and
 //! works on a *running* engine, returning a typed [`QueryHandle`] that owns
 //! the query's [`QuerySink`] and supports loss-free [`QueryHandle::remove`].
-//! Workers resolve queries through the shared
-//! [`QueryRegistry`] — see the registry module docs — so queries appear and
+//! Every query is a member of one physical plan (see `crate::sharing`), and
+//! every task carries its plan's result stage, so queries appear and
 //! disappear under full concurrency with ingest and execution.
 //!
 //! Ingestion is multi-producer end to end: [`Saber::ingest`] (and the cheap
@@ -26,7 +26,7 @@ use crate::queue::TaskQueue;
 use crate::registry::{QueryGate, QueryRegistry, QueryState};
 use crate::result::ResultStage;
 use crate::scheduler::Scheduler;
-use crate::sharing::{SharedMembership, SharedPlan, SharedWindowRegistry};
+use crate::sharing::PhysicalPlan;
 use crate::sink::{QuerySink, WindowWait};
 use crate::task::QueryTask;
 use crate::throughput::ThroughputMatrix;
@@ -35,11 +35,12 @@ use parking_lot::Mutex;
 use saber_cpu::plan::CompiledPlan;
 use saber_gpu::{DeviceConfig, GpuDevice};
 use saber_obs::{FlightRecord, FlightRecorder};
-use saber_query::Query;
+use saber_query::{PlanFingerprint, Query};
 use saber_sql::SharedCatalog;
 use saber_store::{has_existing_state, Store, WalRecord};
 use saber_types::{Result, RowBuffer, SaberError};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -150,8 +151,9 @@ struct EngineCore {
     task_ids: Arc<AtomicU64>,
     flow: Arc<FlowControl>,
     registry: Arc<QueryRegistry>,
-    /// Fingerprint → shared physical plan (see [`crate::sharing`]).
-    sharing: SharedWindowRegistry,
+    /// Fingerprint → joinable physical plan (see [`crate::sharing`]).
+    /// Joins and last-member detaches linearize through this lock.
+    sharing: Mutex<HashMap<PlanFingerprint, Arc<PhysicalPlan>>>,
     stats: EngineStats,
     device: Arc<GpuDevice>,
     lifecycle: Lifecycle,
@@ -269,7 +271,7 @@ impl Saber {
                 task_ids: Arc::new(AtomicU64::new(0)),
                 flow: Arc::new(FlowControl::new(config.max_queued_tasks)),
                 registry: Arc::new(QueryRegistry::new()),
-                sharing: SharedWindowRegistry::new(),
+                sharing: Mutex::default(),
                 stats: EngineStats::default(),
                 device,
                 lifecycle: Lifecycle::new(),
@@ -310,16 +312,15 @@ impl Saber {
 
     /// The current placement decision for one live query: preferred
     /// processor, observed rates, modeled speed-up, realized GPU share.
-    /// `None` for unknown or removed queries. A query attached to a shared
-    /// physical plan reports that plan's decision (placement is seeded and
-    /// adapted once per physical plan, under the anchor's id).
+    /// `None` for unknown or removed queries. A query reports its physical
+    /// plan's decision (placement is seeded and adapted once per plan,
+    /// under the plan's id).
     pub fn placement(&self, query: QueryId) -> Option<PlacementDecision> {
-        let state = self.core.registry.get(query.index())?;
-        let phys = state.phys_id();
-        let stats = self.core.stats.get(phys);
+        let plan = self.core.registry.get(query.index())?.plan.id;
+        let stats = self.core.stats.get(plan);
         self.core
             .placement
-            .decision(QueryId(phys), stats.as_deref())
+            .decision(QueryId(plan), stats.as_deref())
     }
 
     /// Placement decisions for every live query, in registration order.
@@ -351,12 +352,7 @@ impl Saber {
     /// Number of *live* queries (registered and not removed). Counts
     /// logical queries: every member of a shared physical plan counts.
     pub fn num_queries(&self) -> usize {
-        self.core
-            .registry
-            .active()
-            .iter()
-            .filter(|s| s.is_visible())
-            .count()
+        self.core.registry.active().len()
     }
 
     /// Number of live *physical* plan instances: a group of
@@ -366,26 +362,31 @@ impl Saber {
     /// plan (one set of input rings, one task-queue shard, one scheduler
     /// row).
     pub fn num_physical_plans(&self) -> usize {
-        self.core
+        self.live_plans().len()
+    }
+
+    /// Every physical plan with a live member, once each, in id order.
+    fn live_plans(&self) -> Vec<Arc<PhysicalPlan>> {
+        let mut plans: Vec<_> = self
+            .core
             .registry
             .active()
-            .iter()
-            .filter(|s| !s.is_follower())
-            .count()
+            .into_iter()
+            .map(|s| s.plan.clone())
+            .collect();
+        plans.sort_by_key(|p| p.id);
+        plans.dedup_by_key(|p| p.id);
+        plans
     }
 
     /// Sharing info for a live query: the id of the physical plan
     /// executing it and the number of logical queries currently attached
     /// to that plan. `None` for unknown/removed ids and for queries
-    /// running a private (unshared) plan.
+    /// running a private plan that nothing can join.
     pub fn sharing_info(&self, query: QueryId) -> Option<(QueryId, usize)> {
-        let state = self
-            .core
-            .registry
-            .get(query.index())
-            .filter(|s| s.is_visible())?;
-        let shared = state.shared.as_ref()?;
-        Some((QueryId(shared.plan.phys_id), shared.plan.num_members()))
+        let plan = self.core.registry.get(query.index())?.plan.clone();
+        plan.fingerprint.as_ref()?;
+        Some((QueryId(plan.id), plan.result.num_members()))
     }
 
     /// Number of queries ever registered, including removed ones. Query ids
@@ -400,18 +401,13 @@ impl Saber {
             .registry
             .active()
             .into_iter()
-            .filter(|s| s.is_visible())
             .map(|s| QueryId(s.id))
             .collect()
     }
 
     /// Re-acquires a handle to a live query (None if unknown or removed).
     pub fn query(&self, query: QueryId) -> Option<QueryHandle> {
-        let state = self
-            .core
-            .registry
-            .get(query.index())
-            .filter(|s| s.is_visible())?;
+        let state = self.core.registry.get(query.index())?;
         Some(QueryHandle {
             id: query,
             core: self.core.clone(),
@@ -426,14 +422,12 @@ impl Saber {
     }
 
     /// Number of tasks currently queued for one query (0 for unknown or
-    /// removed queries). A member of a shared plan reports the backlog of
-    /// its physical shard.
+    /// removed queries): the backlog of its physical plan's shard.
     pub fn queue_depth(&self, query: QueryId) -> usize {
         self.core
             .registry
             .get(query.index())
-            .filter(|s| s.is_visible())
-            .map(|s| self.core.queue.depth(s.phys_id()))
+            .map(|s| self.core.queue.depth(s.plan.id))
             .unwrap_or(0)
     }
 
@@ -470,45 +464,11 @@ impl Saber {
                 "cannot add queries to a stopped engine".into(),
             ));
         }
-        let core = &self.core;
-        // Plan sharing (when enabled): only fingerprintable queries — every
-        // input carries a resolved source name, which is how the SQL
-        // planner builds them — ever share; programmatic queries without
-        // sources always get a private physical plan.
-        let fingerprint = if core.config.sharing {
-            query.fingerprint()
-        } else {
-            None
-        };
-        // Fast path: a live plan with this fingerprint exists — attach to
-        // it without compiling anything (the O(1) marginal cost of a
-        // duplicate query). The map lock spans lookup + attach, so the plan
-        // cannot die under us: detach removes the map entry under the same
-        // lock *before* tearing a plan down.
-        if let Some(fp) = &fingerprint {
-            let map = core.sharing.lock();
-            if let Some(shared) = map.get(fp).cloned() {
-                let id = core.registry.reserve_id();
-                let logged = self.log_add_query(id, sql)?;
-                return match self.attach_follower(id, &shared, retain_output) {
-                    Ok(handle) => Ok(handle),
-                    Err(e) => {
-                        if logged {
-                            self.retract_add_query(id);
-                        }
-                        Err(e)
-                    }
-                };
-            }
-        }
-        // The expensive steps — plan compilation and the input-ring
-        // allocations inside the dispatcher — run before any shared lock is
-        // taken, so registering a query on a loaded engine never stalls
-        // concurrent ingest or task completion (both read-lock the
-        // registry). The id is reserved first (and burnt if this
-        // registration is abandoned; ids are never reused by design).
-        let plan = CompiledPlan::compile(&query)?;
-        let id = core.registry.reserve_id();
+        // Compile first, so a query that fails to compile burns no id. The
+        // id is reserved next (and burnt if this registration is
+        // abandoned; ids are never reused by design).
+        let (fingerprint, compiled) = self.prepare(&query)?;
+        let id = self.core.registry.reserve_id();
         // Log the registration *before* the query becomes reachable through
         // the registry: a concurrent ingest into the fresh id can otherwise
         // log its `Ingest` record ahead of the `AddQuery` record, and replay
@@ -516,33 +476,8 @@ impl Saber {
         // acknowledged batch. Metadata insert and WAL append happen under
         // one lock so a concurrent checkpoint sees either both or neither.
         let logged = self.log_add_query(id, sql)?;
-        let result = if let Some(fp) = fingerprint {
-            let mut map = core.sharing.lock();
-            if let Some(shared) = map.get(&fp).cloned() {
-                // Lost a race with a concurrent registration of the same
-                // shape: attach to its plan, discarding ours.
-                self.attach_follower(id, &shared, retain_output)
-            } else {
-                let shared = Arc::new(SharedPlan::new(fp.clone(), id));
-                let membership = SharedMembership {
-                    plan: shared.clone(),
-                    anchor: None,
-                    subscription: None,
-                };
-                match self.install_plan(id, plan, retain_output, Some(membership)) {
-                    Ok(handle) => {
-                        map.insert(fp, shared);
-                        Ok(handle)
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-        } else {
-            self.install_plan(id, plan, retain_output, None)
-        };
-        match result {
-            Ok(handle) => Ok(handle),
-            Err(e) => {
+        self.join_or_install(id, &query, fingerprint, compiled, retain_output)
+            .inspect_err(|_| {
                 // Installation failed (e.g. it lost the race with stop):
                 // retract the logged registration so recovery does not
                 // resurrect a query the caller never received. The id stays
@@ -550,9 +485,32 @@ impl Saber {
                 if logged {
                     self.retract_add_query(id);
                 }
-                Err(e)
-            }
-        }
+            })
+    }
+
+    /// Prepares `query` for [`Saber::join_or_install`] outside every lock:
+    /// its fingerprint and — unless a live plan with that fingerprint can
+    /// be joined, which compiles nothing (the O(1) marginal cost of a
+    /// duplicate query) — its compiled plan.
+    ///
+    /// Only fingerprintable queries ever share: every input carries a
+    /// resolved source name, which is how the SQL planner builds them.
+    /// Programmatic queries without sources, and every query when sharing
+    /// is off, get a one-member plan that nothing can join.
+    fn prepare(&self, query: &Query) -> Result<(Option<PlanFingerprint>, Option<CompiledPlan>)> {
+        let fingerprint = if self.core.config.sharing {
+            query.fingerprint()
+        } else {
+            None
+        };
+        let joinable = fingerprint
+            .as_ref()
+            .is_some_and(|fp| self.core.sharing.lock().contains_key(fp));
+        let compiled = match joinable {
+            true => None,
+            false => Some(CompiledPlan::compile(query)?),
+        };
+        Ok((fingerprint, compiled))
     }
 
     /// Appends the `AddQuery` record and inserts the durability metadata of
@@ -597,127 +555,58 @@ impl Saber {
         }
     }
 
-    /// Attaches query `id` as a follower on an existing shared plan: no
-    /// compilation, no input rings, no queue shard, no scheduler row — just
-    /// a registry slot, a stats block and a demux subscription forwarding
-    /// every result batch from the anchor's sink into this query's own.
-    /// The forwarded stream is ordered (the result stage appends under its
-    /// reassembly lock) and complete from this moment on. Caller holds the
-    /// sharing-map lock, so the plan cannot be torn down concurrently.
-    fn attach_follower(
+    /// Makes the reserved id `id` a member of a physical plan — the one
+    /// registration path of live registration and recovery. Under the
+    /// plan-map lock it joins the live plan with `fingerprint`, or installs
+    /// a new plan from `compiled` (compiling `query` here only when the plan
+    /// [`Saber::prepare`] saw has retired since). The lock spans lookup and
+    /// attach, so the joined plan cannot retire under us: its last detach
+    /// takes the same lock.
+    fn join_or_install(
         &self,
         id: usize,
-        plan: &Arc<SharedPlan>,
+        query: &Query,
+        fingerprint: Option<PlanFingerprint>,
+        compiled: Option<CompiledPlan>,
         retain_output: bool,
     ) -> Result<QueryHandle> {
         let core = &self.core;
-        let anchor = core.registry.get(plan.phys_id).ok_or_else(|| {
-            SaberError::State(format!(
-                "shared plan anchor {} is missing from the registry",
-                plan.phys_id
-            ))
-        })?;
+        let mut plans = core.sharing.lock();
         let stats = core.stats.register_query_at(id);
-        let sink = QuerySink::new(anchor.sink.schema().clone(), retain_output);
-        let subscription = {
-            let sink = sink.clone();
-            let stats = stats.clone();
-            anchor.sink.subscribe(move |rows| {
-                // relaxed-ok: monitoring counter, read only for stats display.
-                stats
-                    .tuples_out
-                    .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                sink.append(rows);
-            })
+        let plan = match fingerprint.as_ref().and_then(|fp| plans.get(fp).cloned()) {
+            Some(plan) => plan,
+            None => {
+                let compiled = match compiled {
+                    Some(compiled) => compiled,
+                    None => CompiledPlan::compile(query)?,
+                };
+                let plan = self.install_plan(id, compiled, fingerprint, stats.clone());
+                if let Some(fp) = &plan.fingerprint {
+                    plans.insert(fp.clone(), plan.clone());
+                }
+                plan
+            }
         };
+        let sink = plan.result.attach(id, stats.clone(), retain_output);
         let state = Arc::new(QueryState {
             id,
-            dispatcher: anchor.dispatcher.clone(),
-            runtime: anchor.runtime.clone(),
-            stats,
-            sink,
-            gate: QueryGate::new(),
-            shared: Some(SharedMembership {
-                plan: plan.clone(),
-                anchor: Some(anchor.clone()),
-                subscription: Some(subscription),
-            }),
-            visible: AtomicBool::new(true),
-        });
-        core.registry.insert(state.clone());
-        // Same stop-race discipline as install_plan: a stop that raced this
-        // attach has already closed the other sinks and will not see it.
-        if core.lifecycle.phase() == PHASE_STOPPED {
-            core.registry.clear(id);
-            anchor.sink.unsubscribe(subscription);
-            state.sink.close();
-            return Err(SaberError::State(
-                "cannot add queries to a stopped engine".into(),
-            ));
-        }
-        plan.members.lock().push(id);
-        Ok(QueryHandle {
-            id: QueryId(id),
-            core: self.core.clone(),
-            state,
-        })
-    }
-
-    /// Installs a compiled plan under an already reserved `id` — the shared
-    /// tail of normal registration and recovery's restore-at-fixed-id path.
-    /// `shared` is the anchor membership when this plan heads a shared
-    /// group (the caller inserts the fingerprint-map entry on success),
-    /// `None` for a private plan.
-    fn install_plan(
-        &self,
-        id: usize,
-        mut plan: CompiledPlan,
-        retain_output: bool,
-        shared: Option<SharedMembership>,
-    ) -> Result<QueryHandle> {
-        let core = &self.core;
-        plan.set_query_id(id);
-        core.placement
-            .register(id, &plan, core.config.query_task_size);
-        let plan = Arc::new(plan);
-        let sink = QuerySink::new(plan.output_schema().clone(), retain_output);
-        let stats = core.stats.register_query_at(id);
-        let runtime = Arc::new(ResultStage::new(
-            &plan,
-            sink.clone(),
-            stats.clone(),
-            core.recorder.clone(),
-            core.config.stage_timestamps,
-        ));
-        let dispatcher = Arc::new(Dispatcher::new(
             plan,
-            core.config.query_task_size,
-            core.config.input_buffer_capacity,
-            core.task_ids.clone(),
-            core.config.stage_timestamps,
-        ));
-        core.queue.register_query_at(id);
-        let state = Arc::new(QueryState {
-            id,
-            dispatcher,
-            runtime,
             stats,
             sink,
             gate: QueryGate::new(),
-            shared,
-            visible: AtomicBool::new(true),
         });
         core.registry.insert(state.clone());
         // A stop that raced this registration has already closed the other
         // sinks and will not see this query; fail the registration cleanly
         // instead of leaving a zombie.
-        if self.core.lifecycle.phase() == PHASE_STOPPED {
-            self.core.registry.clear(state.id);
+        if core.lifecycle.phase() == PHASE_STOPPED {
+            detach(core, &mut plans, &state);
             state.sink.close();
             return Err(SaberError::State(
                 "cannot add queries to a stopped engine".into(),
             ));
         }
+        drop(plans);
         if let Some(durability) = &core.durability {
             // Checkpoint-on-window-close: every appended result batch marks
             // the catalog snapshot cadence as due.
@@ -732,9 +621,48 @@ impl Saber {
             });
         }
         Ok(QueryHandle {
-            id: QueryId(state.id),
+            id: QueryId(id),
             core: self.core.clone(),
             state,
+        })
+    }
+
+    /// Builds a new physical plan under `id` (its first member's id, so the
+    /// plan's queue shard, scheduler and matrix rows, placement prior and
+    /// traces carry it) and registers its queue shard and placement prior.
+    /// `stats` is the plan's statistics block: its first member's.
+    fn install_plan(
+        &self,
+        id: usize,
+        mut compiled: CompiledPlan,
+        fingerprint: Option<PlanFingerprint>,
+        stats: Arc<QueryStats>,
+    ) -> Arc<PhysicalPlan> {
+        let core = &self.core;
+        compiled.set_query_id(id);
+        core.placement
+            .register(id, &compiled, core.config.query_task_size);
+        let compiled = Arc::new(compiled);
+        let result = Arc::new(ResultStage::new(
+            &compiled,
+            stats,
+            core.recorder.clone(),
+            core.config.stage_timestamps,
+        ));
+        let dispatcher = Arc::new(Dispatcher::new(
+            compiled,
+            core.config.query_task_size,
+            core.config.input_buffer_capacity,
+            core.task_ids.clone(),
+            core.config.stage_timestamps,
+            result.clone(),
+        ));
+        core.queue.register_query_at(id);
+        Arc::new(PhysicalPlan {
+            id,
+            fingerprint,
+            dispatcher,
+            result,
         })
     }
 
@@ -762,34 +690,12 @@ impl Saber {
             ))
         })?;
         core.registry.reserve_through(id + 1);
-        // Recovery routes through the same sharing decision as live
+        // Recovery routes through the same join-or-install decision as live
         // registration, in WAL sequence order — so the restored engine
-        // reproduces the original anchor/follower topology (and therefore
+        // reproduces the original plans and their members (and therefore
         // the same per-member result streams) under the original ids.
-        let fingerprint = if core.config.sharing {
-            query.fingerprint()
-        } else {
-            None
-        };
-        if let Some(fp) = fingerprint {
-            let mut map = core.sharing.lock();
-            if let Some(shared) = map.get(&fp).cloned() {
-                self.attach_follower(id, &shared, true)?;
-            } else {
-                let plan = CompiledPlan::compile(&query)?;
-                let shared = Arc::new(SharedPlan::new(fp.clone(), id));
-                let membership = SharedMembership {
-                    plan: shared.clone(),
-                    anchor: None,
-                    subscription: None,
-                };
-                self.install_plan(id, plan, true, Some(membership))?;
-                map.insert(fp, shared);
-            }
-        } else {
-            let plan = CompiledPlan::compile(&query)?;
-            self.install_plan(id, plan, true, None)?;
-        }
+        let (fingerprint, compiled) = self.prepare(&query)?;
+        self.join_or_install(id, &query, fingerprint, compiled, true)?;
         durability.meta.lock().insert(
             id,
             QueryMeta {
@@ -971,7 +877,6 @@ impl Saber {
             queue: self.core.queue.clone(),
             scheduler: self.core.scheduler.clone(),
             matrix: self.core.matrix.clone(),
-            registry: self.core.registry.clone(),
             flow: self.core.flow.clone(),
             stage_timestamps: self.core.config.stage_timestamps,
         }
@@ -1007,7 +912,7 @@ impl Saber {
             .registry
             .get(query.index())
             .ok_or_else(|| unknown_query_error(core, query.index()))?;
-        if state.dispatcher.stream(stream.index()).is_none() {
+        if state.plan.dispatcher.stream(stream.index()).is_none() {
             return Err(SaberError::Query(format!(
                 "query {} has no input stream {}",
                 query.index(),
@@ -1023,51 +928,20 @@ impl Saber {
         })
     }
 
-    /// Flushes partially filled stream batches of every live query into
-    /// final (undersized) tasks.
+    /// Flushes the partially filled stream batches of every live physical
+    /// plan — once per plan, however many members it has — into final
+    /// (undersized) tasks.
+    ///
+    /// Plans whose members are all mid-removal are flushed too. That is
+    /// safe: a removal drains every task cut before its own flush, and with
+    /// every gate closed nothing new can pend. Stop relies on it: under
+    /// the wind-down mutex, a removal that observes the `Stopped` phase
+    /// skips its own flush, so if this skipped such plans, rows accepted
+    /// just before the removal began would be stranded in the ring.
     pub fn flush(&self) -> Result<()> {
-        for state in self.core.registry.active() {
-            // Followers share their anchor's dispatcher; the anchor slot
-            // (live until the plan's last detach) carries the flush.
-            if state.is_follower() {
-                continue;
-            }
-            if !state.gate.is_accepting() {
-                // Queries mid-removal flush (and drain) themselves;
-                // skipping them here avoids racing the removal's shard
-                // retirement. The exception is an *invisible* shared
-                // anchor: its removal is long done, its followers are the
-                // live consumers, and nobody else can cut its pending rows.
-                let anchored_plan_running = !state.is_visible()
-                    && state
-                        .shared
-                        .as_ref()
-                        .is_some_and(|m| m.plan.num_members() > 0);
-                if !anchored_plan_running {
-                    continue;
-                }
-            }
-            if let Some(task) = state.dispatcher.flush()? {
-                submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
-            }
-        }
-        Ok(())
-    }
-
-    /// Stop's final flush. Unlike the public [`Saber::flush`] this includes
-    /// queries whose removal is in progress (gate closed, slot still live):
-    /// under the wind-down mutex their shards cannot be retired
-    /// concurrently, and a removal that observes the `Stopped` phase skips
-    /// its own flush — if stop skipped them too, rows accepted just before
-    /// the removal began would be stranded in the ring and silently lost.
-    /// (Followers are skipped: their anchor's slot owns the dispatcher.)
-    fn flush_all(&self) -> Result<()> {
-        for state in self.core.registry.active() {
-            if state.is_follower() {
-                continue;
-            }
-            if let Some(task) = state.dispatcher.flush()? {
-                submit_task(&state.stats, &self.core.flow, &self.core.queue, task);
+        for plan in self.live_plans() {
+            if let Some(task) = plan.dispatcher.flush()? {
+                submit_task(&plan.result.stats, &self.core.flow, &self.core.queue, task);
             }
         }
         Ok(())
@@ -1134,7 +1008,7 @@ impl Saber {
         // queue shard between our flush and our push would strand the task.
         let wind_down = self.core.wind_down.lock();
         let flush_result = if ingests_drained {
-            self.flush_all()
+            self.flush()
         } else {
             Ok(())
         };
@@ -1191,7 +1065,6 @@ impl Saber {
         self.core
             .registry
             .get(query.index())
-            .filter(|s| s.is_visible())
             .map(|s| s.sink.clone())
     }
 
@@ -1249,13 +1122,7 @@ impl Drop for Saber {
 /// Builds the "unknown query" error with the live ids listed, so a caller
 /// holding a stale id can see at a glance what is actually registered.
 fn unknown_query_error(core: &EngineCore, id: usize) -> SaberError {
-    let active: Vec<usize> = core
-        .registry
-        .active()
-        .iter()
-        .filter(|s| s.is_visible())
-        .map(|s| s.id)
-        .collect();
+    let active: Vec<usize> = core.registry.active().iter().map(|s| s.id).collect();
     if active.is_empty() {
         SaberError::Query(format!("unknown query {id} (no queries registered)"))
     } else {
@@ -1268,21 +1135,14 @@ fn unknown_query_error(core: &EngineCore, id: usize) -> SaberError {
 }
 
 /// Removes one query loss-free: close its ingest gate, wait out in-flight
-/// ingests, flush its pending rows, drain its task backlog, then deregister
-/// it everywhere (queue shard, scheduler counters, throughput matrix row,
-/// registry slot) and close its sink.
-///
-/// For members of a shared physical plan the drain is the same — every row
-/// this query acknowledged reaches its sink before the sink closes — but
-/// deregistration is refcounted: only the **last** member's detach retires
-/// the physical machinery. A follower detach just unhooks its demux
-/// subscription; an anchor removed while followers remain turns logically
-/// invisible and keeps carrying the plan under its id.
+/// ingests, flush its plan's pending rows, drain every task cut so far, then
+/// [`detach`] it from its plan and close its sink — so every row this query
+/// acknowledged reaches its sink before the sink closes. The plan keeps
+/// running for its other members; the last member's detach retires it.
 fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     let state = core
         .registry
         .get(id)
-        .filter(|s| s.is_visible())
         .ok_or_else(|| unknown_query_error(core, id))?;
     if !state.gate.begin_remove() {
         return Err(SaberError::State(format!(
@@ -1301,24 +1161,25 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     // on the mutex behind us (its phase flips before the critical section):
     // skipping the flush on phase alone would strand pending rows, because
     // stop's own flush cannot run until after we retire the shard. When the
-    // queue has already shut down, stop's flush_all (which covers
-    // gate-closed queries precisely for this hand-off) has flushed and
-    // drained everything, so there is nothing left to do here. An engine
-    // that never started has nothing pending (ingest requires Running).
+    // queue has already shut down, stop's flush (which covers gate-closed
+    // queries precisely for this hand-off) has flushed and drained
+    // everything, so there is nothing left to do here. An engine that never
+    // started has nothing pending (ingest requires Running).
+    let plan = &state.plan;
     if clean && !core.queue.is_shutdown() {
         // Flush the final (undersized) task, then wait until every task
-        // ever cut for this query has passed through the result stage.
+        // ever cut for this plan has passed through the result stage.
         // `tasks_cut` is committed under the cutter lock, so our flush
         // observes every concurrent cut that could still submit a task.
-        // The target is snapshotted *after* the flush: on a shared plan,
-        // surviving members keep cutting tasks concurrently, so re-reading
-        // `tasks_cut` in the loop might never converge — and everything cut
-        // up to our flush is what this query's loss-freeness requires.
-        if let Some(task) = state.dispatcher.flush()? {
+        // The target is snapshotted *after* the flush: other members keep
+        // cutting tasks concurrently, so re-reading `tasks_cut` in the loop
+        // might never converge — and everything cut up to our flush is what
+        // this query's loss-freeness requires.
+        if let Some(task) = plan.dispatcher.flush()? {
             submit_task(&state.stats, &core.flow, &core.queue, task);
         }
-        let target = state.dispatcher.tasks_cut();
-        while state.runtime.completed_tasks() < target {
+        let target = plan.dispatcher.tasks_cut();
+        while plan.result.completed_tasks() < target {
             if Instant::now() >= deadline {
                 clean = false;
                 break;
@@ -1326,79 +1187,8 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
             std::thread::sleep(Duration::from_micros(50));
         }
     }
-    // Phase 3: deregister. On the clean path the shard is empty; orphans
-    // only exist after a timeout, and their flow credits must be returned so
-    // admission control stays balanced.
-    let mut orphans = Vec::new();
-    match state.shared.as_ref() {
-        None => {
-            orphans = core.queue.retire_query(id);
-            for _ in &orphans {
-                core.flow.release();
-            }
-            core.scheduler.forget_query(id);
-            core.matrix.forget_query(id);
-            core.placement.forget(id);
-            core.registry.clear(id);
-        }
-        Some(membership) => {
-            let plan = &membership.plan;
-            // Atomically with the member list emptying, drop the
-            // fingerprint entry: a concurrent attach (which holds the same
-            // map lock) either joins a plan with live members or creates a
-            // fresh anchor — never a dying plan.
-            let last = {
-                let mut map = core.sharing.lock();
-                let mut members = plan.members.lock();
-                members.retain(|&m| m != id);
-                let last = members.is_empty();
-                if last {
-                    map.remove(&plan.fingerprint);
-                }
-                last
-            };
-            if last {
-                // The plan dies with its last member: retire the physical
-                // machinery under the anchor's id.
-                let phys = plan.phys_id;
-                orphans = core.queue.retire_query(phys);
-                for _ in &orphans {
-                    core.flow.release();
-                }
-                core.scheduler.forget_query(phys);
-                core.matrix.forget_query(phys);
-                core.placement.forget(phys);
-                if phys != id {
-                    // The anchor was removed earlier and kept invisible to
-                    // carry the plan; its slot goes with it.
-                    core.registry.clear(phys);
-                }
-                core.registry.clear(id);
-            } else if membership.is_anchor() {
-                // Followers remain: the physical machinery must keep
-                // running under this id. The query turns logically
-                // invisible — excluded from listings, ingest rejected (its
-                // gate is closed), its sink closed below — but the slot
-                // stays occupied so workers can resolve task completions
-                // and the followers' demux subscriptions keep streaming.
-                // Rows buffered before the removal stay drainable; future
-                // windows stop accumulating in a sink nobody will drain.
-                state.visible.store(false, Ordering::SeqCst);
-                state.sink.stop_retaining();
-            } else {
-                // A follower detaches cheaply: unhook its demux
-                // subscription (after the drain above, so every window its
-                // acknowledged rows produced has reached its sink) and
-                // clear its slot. The physical plan is untouched.
-                if let (Some(anchor), Some(subscription)) =
-                    (membership.anchor.as_ref(), membership.subscription)
-                {
-                    anchor.sink.unsubscribe(subscription);
-                }
-                core.registry.clear(id);
-            }
-        }
-    }
+    // Phase 3: detach.
+    let orphans = detach(core, &mut core.sharing.lock(), &state);
     drop(wind_down);
     state.sink.close();
     // Drop the durability metadata — unconditionally, so a removal applied
@@ -1418,12 +1208,42 @@ fn remove_query_inner(core: &Arc<EngineCore>, id: usize) -> Result<()> {
     if !clean {
         return Err(SaberError::State(format!(
             "removal of query {id} timed out after {REMOVE_DRAIN_TIMEOUT:?} \
-             with {} orphaned task(s); the query was deregistered anyway \
-             (unclean removal)",
-            orphans.len()
+             with {orphans} orphaned task(s); the query was deregistered anyway \
+             (unclean removal)"
         )));
     }
     Ok(())
+}
+
+/// Detaches a query from its plan and clears its registry slot, under the
+/// plan-map lock the caller holds — so a concurrent join either finds a
+/// plan with live members or installs a fresh one. The last member retires
+/// the plan: its queue shard, scheduler counters, throughput-matrix row,
+/// placement prior and map entry. Returns the number of orphaned tasks;
+/// the shard is empty on a clean drain, and orphans exist only after a
+/// timeout, so their flow credits are returned to keep admission control
+/// balanced.
+fn detach(
+    core: &EngineCore,
+    plans: &mut HashMap<PlanFingerprint, Arc<PhysicalPlan>>,
+    state: &QueryState,
+) -> usize {
+    core.registry.clear(state.id);
+    let plan = &state.plan;
+    if plan.result.detach(state.id) > 0 {
+        return 0;
+    }
+    if let Some(fp) = &plan.fingerprint {
+        plans.remove(fp);
+    }
+    let orphans = core.queue.retire_query(plan.id).len();
+    for _ in 0..orphans {
+        core.flow.release();
+    }
+    core.scheduler.forget_query(plan.id);
+    core.matrix.forget_query(plan.id);
+    core.placement.forget(plan.id);
+    orphans
 }
 
 /// Handle to one registered query, returned by [`Saber::add_query`] and
@@ -1523,6 +1343,7 @@ impl QueryHandle {
     pub(crate) fn stream_row_size(&self, stream: StreamId) -> Result<usize> {
         Ok(self
             .state
+            .plan
             .dispatcher
             .stream(stream.index())
             .ok_or_else(|| {
@@ -1538,7 +1359,7 @@ impl QueryHandle {
     /// A cloneable multi-producer handle for input `stream` of this query
     /// (see [`Saber::ingest_handle`]).
     pub fn ingest_handle(&self, stream: StreamId) -> Result<IngestHandle> {
-        if self.state.dispatcher.stream(stream.index()).is_none() {
+        if self.state.plan.dispatcher.stream(stream.index()).is_none() {
             return Err(SaberError::Query(format!(
                 "query {} has no input stream {}",
                 self.id.index(),
@@ -1559,16 +1380,16 @@ impl QueryHandle {
     pub fn flush(&self) -> Result<()> {
         let _permit = self.core.lifecycle.begin_ingest()?;
         let _query_permit = self.state.gate.begin_ingest(self.state.id)?;
-        if let Some(task) = self.state.dispatcher.flush()? {
+        if let Some(task) = self.state.plan.dispatcher.flush()? {
             submit_task(&self.state.stats, &self.core.flow, &self.core.queue, task);
         }
         Ok(())
     }
 
-    /// Number of tasks currently queued for this query (the backlog of its
-    /// physical shard, for members of a shared plan).
+    /// Number of tasks currently queued for this query: the backlog of its
+    /// physical plan's shard.
     pub fn queued_tasks(&self) -> usize {
-        self.core.queue.depth(self.state.phys_id())
+        self.core.queue.depth(self.state.plan.id)
     }
 
     /// True once the query has been removed (or removal has begun): further
@@ -1686,7 +1507,7 @@ impl IngestHandle {
     pub fn flush(&self) -> Result<()> {
         let _permit = self.inner.core.lifecycle.begin_ingest()?;
         let _query_permit = self.inner.state.gate.begin_ingest(self.inner.state.id)?;
-        if let Some(task) = self.inner.state.dispatcher.flush()? {
+        if let Some(task) = self.inner.state.plan.dispatcher.flush()? {
             submit_task(
                 &self.inner.state.stats,
                 &self.inner.core.flow,
@@ -1702,7 +1523,7 @@ impl IngestHandle {
 /// lock-free append + cut, then credit-gated admission of the cut tasks —
 /// and, on a durable engine, a group-committed WAL append before the ack.
 fn ingest_into(core: &EngineCore, state: &QueryState, stream: usize, bytes: &[u8]) -> Result<()> {
-    let dispatcher = &state.dispatcher;
+    let dispatcher = &state.plan.dispatcher;
     let stats = &state.stats;
     let row_size = dispatcher
         .stream(stream)
@@ -2180,18 +2001,24 @@ mod tests {
         let c = engine
             .add_query_sql("SELECT timestamp, key FROM S [ROWS 128]", &catalog)
             .unwrap();
+        // `SABER_NO_SHARING=1` overrides the config: every plan is private.
+        let sharing = engine.config().sharing;
         assert_eq!(engine.num_queries(), 3);
-        assert_eq!(engine.num_physical_plans(), 2);
-        assert_eq!(engine.sharing_info(a.id()), Some((a.id(), 2)));
-        assert_eq!(engine.sharing_info(b.id()), Some((a.id(), 2)));
-        assert_eq!(engine.sharing_info(c.id()), Some((c.id(), 1)));
+        assert_eq!(engine.num_physical_plans(), if sharing { 2 } else { 3 });
+        if sharing {
+            assert_eq!(engine.sharing_info(a.id()), Some((a.id(), 2)));
+            assert_eq!(engine.sharing_info(b.id()), Some((a.id(), 2)));
+            assert_eq!(engine.sharing_info(c.id()), Some((c.id(), 1)));
+        }
         // Ingest through ONE member: every member sees the full stream.
         a.ingest(StreamId(0), &data(4096, 0)).unwrap();
         engine.stop().unwrap();
         assert_eq!(a.tuples_emitted(), 4096);
-        assert_eq!(b.tuples_emitted(), 4096);
         assert_eq!(c.tuples_emitted(), 0);
-        assert_eq!(a.take_rows().into_bytes(), b.take_rows().into_bytes());
+        if sharing {
+            assert_eq!(b.tuples_emitted(), 4096);
+            assert_eq!(a.take_rows().into_bytes(), b.take_rows().into_bytes());
+        }
     }
 
     #[test]
@@ -2218,19 +2045,23 @@ mod tests {
         let sql = "SELECT timestamp FROM S [ROWS 64]";
         let anchor = engine.add_query_sql(sql, &catalog).unwrap();
         let follower = engine.add_query_sql(sql, &catalog).unwrap();
+        // What the follower sees of rows ingested through the anchor.
+        let shared_rows = if engine.config().sharing { 256 } else { 0 };
         anchor.ingest(StreamId(0), &data(256, 0)).unwrap();
         follower.remove().unwrap();
         // Loss-freeness: everything acknowledged before the detach reached
         // the follower's sink too.
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(follower.tuples_emitted(), shared_rows);
         assert!(follower.sink().is_closed());
         assert_eq!(engine.num_physical_plans(), 1);
-        assert_eq!(engine.sharing_info(anchor.id()), Some((anchor.id(), 1)));
+        if engine.config().sharing {
+            assert_eq!(engine.sharing_info(anchor.id()), Some((anchor.id(), 1)));
+        }
         // The anchor keeps running after the follower is gone.
         anchor.ingest(StreamId(0), &data(256, 256)).unwrap();
         engine.stop().unwrap();
         assert_eq!(anchor.tuples_emitted(), 512);
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(follower.tuples_emitted(), shared_rows);
     }
 
     #[test]
@@ -2241,27 +2072,45 @@ mod tests {
         let sql = "SELECT timestamp FROM S [ROWS 64]";
         let anchor = engine.add_query_sql(sql, &catalog).unwrap();
         let follower = engine.add_query_sql(sql, &catalog).unwrap();
+        let sharing = engine.config().sharing;
+        // What the follower sees of rows ingested through the anchor.
+        let shared_rows = if sharing { 128 } else { 0 };
         anchor.ingest(StreamId(0), &data(128, 0)).unwrap();
         anchor.remove().unwrap();
-        // The anchor is logically gone...
+        // The plan's first member is gone like any removed query...
         assert!(anchor.sink().is_closed());
         assert!(anchor.is_removed());
         assert!(engine.query(anchor.id()).is_none());
         assert_eq!(engine.query_ids(), vec![follower.id()]);
         assert_eq!(engine.num_queries(), 1);
-        // ...but the physical plan lives on, and the follower still streams.
+        assert!(engine.placement(anchor.id()).is_none());
+        assert!(engine.ingest_handle(anchor.id(), StreamId(0)).is_err());
+        assert!(matches!(
+            engine.ingest(anchor.id(), StreamId(0), &data(1, 0)),
+            Err(SaberError::Query(_))
+        ));
+        // ...but the physical plan lives on under its id, and the follower
+        // still streams: a flush delivers its partial window before stop.
         assert_eq!(engine.num_physical_plans(), 1);
+        if sharing {
+            assert_eq!(engine.sharing_info(follower.id()), Some((anchor.id(), 1)));
+        }
         follower.ingest(StreamId(0), &data(128, 128)).unwrap();
+        engine.flush().unwrap();
+        assert!(engine.drain(Duration::from_secs(10)));
+        assert_eq!(follower.tuples_emitted(), shared_rows + 128);
         // The last detach retires the physical shard for good.
         follower.remove().unwrap();
-        assert_eq!(follower.tuples_emitted(), 256);
+        assert_eq!(follower.tuples_emitted(), shared_rows + 128);
         assert_eq!(engine.num_queries(), 0);
         assert_eq!(engine.num_physical_plans(), 0);
         // The anchor's pre-removal windows stayed drainable.
         assert_eq!(anchor.take_rows().len(), 128);
         // A fresh registration of the same shape starts a new plan.
         let fresh = engine.add_query_sql(sql, &catalog).unwrap();
-        assert_eq!(engine.sharing_info(fresh.id()), Some((fresh.id(), 1)));
+        if sharing {
+            assert_eq!(engine.sharing_info(fresh.id()), Some((fresh.id(), 1)));
+        }
         assert_eq!(engine.num_physical_plans(), 1);
         engine.stop().unwrap();
     }

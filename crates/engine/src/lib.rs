@@ -25,7 +25,8 @@
 //!    five-stage pipeline of `saber_gpu`.
 //! 4. **Result stage** — [`result::ResultStage`] reorders task results by
 //!    task identifier, assembles window results from window fragments and
-//!    appends them to the query's [`sink::QuerySink`].
+//!    appends them to the [`sink::QuerySink`] of every query that is a
+//!    member of the task's physical plan.
 
 //! ## Dynamic query lifecycle
 //!

@@ -348,11 +348,13 @@ mod tests {
             .select(Expr::literal(1.0))
             .build()
             .unwrap();
+        let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
         QueryTask {
             id,
             query_id,
             seq: id,
-            plan: Arc::new(CompiledPlan::compile(&q).unwrap()),
+            result: crate::result::ResultStage::detached(&plan),
+            plan,
             batches: vec![saber_cpu::exec::StreamBatch::new(
                 RowBuffer::new(schema),
                 0,

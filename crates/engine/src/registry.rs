@@ -5,9 +5,9 @@
 //! workers indexed a snapshot and nothing could be added or removed while
 //! the engine ran. The registry replaces that snapshot with a slot table
 //! under a read/write lock: registration appends a slot (query ids are slot
-//! indices and are **never reused**), removal clears the slot, and workers
-//! resolve a task's query state by id at completion time. Lookups on the
-//! hot paths (ingest, task completion) are a read-lock plus an `Arc` clone.
+//! indices and are **never reused**) and removal clears it. Workers never
+//! consult the registry: each task carries its plan's result stage. Lookups
+//! on the ingest path are a read-lock plus an `Arc` clone.
 //!
 //! Per-query removal reuses the engine's shutdown discipline (the PR-3
 //! permit-counter pattern) at query granularity via the crate-internal
@@ -17,10 +17,8 @@
 //! whose ingest returned `Ok` is fully processed before the query
 //! disappears.
 
-use crate::dispatcher::Dispatcher;
 use crate::metrics::QueryStats;
-use crate::result::ResultStage;
-use crate::sharing::SharedMembership;
+use crate::sharing::PhysicalPlan;
 use crate::sink::QuerySink;
 use parking_lot::RwLock;
 use saber_types::{Result, SaberError};
@@ -28,49 +26,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Everything the engine and its workers need about one registered query.
+/// Everything the engine needs about one registered query: a member of
+/// exactly one physical plan.
 pub(crate) struct QueryState {
     /// The query's id (its slot index; never reused).
     pub(crate) id: usize,
-    /// The query's dispatching stage.
-    pub(crate) dispatcher: Arc<Dispatcher>,
-    /// The query's result stage.
-    pub(crate) runtime: Arc<ResultStage>,
+    /// The physical plan this query is a member of (see [`crate::sharing`]).
+    pub(crate) plan: Arc<PhysicalPlan>,
     /// The query's statistics block.
     pub(crate) stats: Arc<QueryStats>,
     /// The query's output sink.
     pub(crate) sink: QuerySink,
     /// Ingest admission gate (closed when removal begins).
     pub(crate) gate: QueryGate,
-    /// Membership in a shared physical plan (`None`: this query runs its
-    /// own private plan). See [`crate::sharing`].
-    pub(crate) shared: Option<SharedMembership>,
-    /// False once the query has been logically removed but its slot must
-    /// stay occupied because it anchors a shared physical plan with live
-    /// followers. Invisible queries are excluded from the public query
-    /// listing and accept no ingest.
-    pub(crate) visible: AtomicBool,
-}
-
-impl QueryState {
-    /// True when this query is a follower on a shared plan (its physical
-    /// machinery — dispatcher, rings, queue shard, scheduler row — belongs
-    /// to the anchor).
-    pub(crate) fn is_follower(&self) -> bool {
-        self.shared.as_ref().is_some_and(|s| !s.is_anchor())
-    }
-
-    /// The id the physical plan runs under: the anchor's id for shared
-    /// queries, the query's own id otherwise.
-    pub(crate) fn phys_id(&self) -> usize {
-        self.shared.as_ref().map_or(self.id, |s| s.plan.phys_id)
-    }
-
-    /// True while the query is publicly listed (not an invisible anchor
-    /// kept alive only to carry its shared plan).
-    pub(crate) fn is_visible(&self) -> bool {
-        self.visible.load(Ordering::SeqCst)
-    }
 }
 
 /// Per-query ingest gate: the same inc-then-check permit counter that makes
@@ -150,14 +118,13 @@ impl Drop for QueryPermit<'_> {
     }
 }
 
-/// The engine's slot table of registered queries. Public so worker contexts
-/// can carry it; all operations are crate-internal.
+/// The engine's slot table of registered queries. All operations are
+/// crate-internal.
 ///
 /// Ids come from a separate atomic counter so the expensive parts of
 /// registration (plan compilation, input-ring allocation) run *outside*
 /// the slot-table lock — a `QUERY` arriving on a busy server must not
-/// stall ingest or task completion, which read-lock this table on their
-/// hot paths. A reserved-but-not-yet-inserted id's slot reads as `None`
+/// stall ingest, which read-locks this table on its hot path. A reserved-but-not-yet-inserted id's slot reads as `None`
 /// (indistinguishable from a removed query), which is safe: no task,
 /// ingest or handle can reference an id before its registration returns.
 #[derive(Default)]

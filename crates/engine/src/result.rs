@@ -4,8 +4,9 @@
 //! Tasks complete out of order because they run in parallel on heterogeneous
 //! processors. The result stage restores the order defined by the query task
 //! identifiers, assembles window results from window-fragment results (via
-//! the query's [`AggregationAssembler`]) and appends the ordered output to
-//! the query's [`QuerySink`]. Worker threads call [`ResultStage::submit`]
+//! the plan's [`AggregationAssembler`]) and appends the ordered output to
+//! the [`QuerySink`] of every member query of the physical plan (see
+//! `crate::sharing`). Worker threads call [`ResultStage::submit`]
 //! directly after executing a task — the same thread that executed the task
 //! performs whatever assembly work has become possible, as in the paper's
 //! worker-thread model.
@@ -44,13 +45,37 @@ struct Ordered {
     assembler: Option<AggregationAssembler>,
     /// Scratch output buffer reused across submissions.
     scratch: RowBuffer,
+    /// The plan's member queries. Guarded by the reorder lock, so a member
+    /// sees a gap-free, ordered stream from its attach until its detach;
+    /// its length is the plan's refcount.
+    members: Vec<Member>,
 }
 
-/// The per-query result stage.
-pub struct ResultStage {
-    ordered: Mutex<Ordered>,
+/// One member query of the plan: where its released batches go.
+struct Member {
+    id: usize,
     sink: QuerySink,
     stats: Arc<QueryStats>,
+}
+
+/// Appends one released batch to every member's sink.
+fn deliver(members: &[Member], rows: &RowBuffer) {
+    for member in members {
+        member.sink.append(rows);
+        // relaxed-ok: monitoring counter, read only for stats display.
+        member
+            .stats
+            .tuples_out
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+    }
+}
+
+/// The result stage of one physical plan.
+pub struct ResultStage {
+    ordered: Mutex<Ordered>,
+    /// The plan's statistics block (its first member's): task counters,
+    /// latency and stage histograms.
+    pub(crate) stats: Arc<QueryStats>,
     completed_tasks: AtomicU64,
     /// The engine-wide flight recorder each released task traces into.
     recorder: Arc<FlightRecorder>,
@@ -60,13 +85,18 @@ pub struct ResultStage {
     query_id: u64,
 }
 
+impl std::fmt::Debug for ResultStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ResultStage(plan {})", self.query_id)
+    }
+}
+
 impl ResultStage {
-    /// Creates the result stage of one query. Completed tasks trace into
-    /// `recorder` and the query's stage histograms when `stage_timestamps`
-    /// is on.
+    /// Creates the result stage of one plan, with no member queries yet.
+    /// Completed tasks trace into `recorder` and the stage histograms of
+    /// `stats` when `stage_timestamps` is on.
     pub fn new(
         plan: &CompiledPlan,
-        sink: QuerySink,
         stats: Arc<QueryStats>,
         recorder: Arc<FlightRecorder>,
         stage_timestamps: bool,
@@ -77,8 +107,8 @@ impl ResultStage {
                 pending: BTreeMap::new(),
                 assembler: AggregationAssembler::new(plan),
                 scratch: RowBuffer::new(plan.output_schema().clone()),
+                members: Vec::new(),
             }),
-            sink,
             stats,
             completed_tasks: AtomicU64::new(0),
             recorder,
@@ -87,9 +117,29 @@ impl ResultStage {
         }
     }
 
-    /// The query's output sink.
-    pub fn sink(&self) -> &QuerySink {
-        &self.sink
+    /// Adds member query `id`: every batch released from now on is appended
+    /// to the returned sink and counted in `stats`.
+    pub(crate) fn attach(&self, id: usize, stats: Arc<QueryStats>, retain: bool) -> QuerySink {
+        let mut ordered = self.ordered.lock();
+        let sink = QuerySink::new(ordered.scratch.schema().clone(), retain);
+        ordered.members.push(Member {
+            id,
+            sink: sink.clone(),
+            stats,
+        });
+        sink
+    }
+
+    /// Removes member query `id`, returning how many members remain.
+    pub(crate) fn detach(&self, id: usize) -> usize {
+        let mut ordered = self.ordered.lock();
+        ordered.members.retain(|m| m.id != id);
+        ordered.members.len()
+    }
+
+    /// Number of member queries.
+    pub(crate) fn num_members(&self) -> usize {
+        self.ordered.lock().members.len()
     }
 
     /// Number of task results fully processed (released in order).
@@ -126,17 +176,12 @@ impl ResultStage {
                 result.stamps.started
             };
             match result.output {
-                TaskOutput::Rows(rows) => {
-                    self.sink.append(&rows);
-                    // relaxed-ok: monitoring counter, read for stats display.
-                    self.stats
-                        .tuples_out
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                }
+                TaskOutput::Rows(rows) => deliver(&ordered.members, &rows),
                 TaskOutput::Fragments { panes, progress } => {
                     let Ordered {
                         ref mut assembler,
                         ref mut scratch,
+                        ref members,
                         ..
                     } = *ordered;
                     if let Some(assembler) = assembler.as_mut() {
@@ -144,11 +189,7 @@ impl ResultStage {
                         match assembler.accept(panes, progress, scratch) {
                             Ok(_emitted) => {
                                 if !scratch.is_empty() {
-                                    self.sink.append(scratch);
-                                    // relaxed-ok: monitoring counter only.
-                                    self.stats
-                                        .tuples_out
-                                        .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+                                    deliver(members, scratch);
                                 }
                             }
                             Err(e) => {
@@ -195,6 +236,19 @@ impl ResultStage {
 }
 
 #[cfg(test)]
+impl ResultStage {
+    /// A memberless stage, for tests that only need tasks to carry one.
+    pub(crate) fn detached(plan: &CompiledPlan) -> Arc<Self> {
+        Arc::new(Self::new(
+            plan,
+            Arc::default(),
+            Arc::new(FlightRecorder::new(8)),
+            false,
+        ))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use saber_query::{AggregateFunction, Expr, QueryBuilder};
@@ -222,14 +276,9 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
-        let stage = ResultStage::new(
-            &plan,
-            sink.clone(),
-            Arc::new(QueryStats::default()),
-            Arc::new(FlightRecorder::new(8)),
-            true,
-        );
+        let stats = Arc::new(QueryStats::default());
+        let stage = ResultStage::new(&plan, stats.clone(), Arc::new(FlightRecorder::new(8)), true);
+        let sink = stage.attach(0, stats, true);
         (stage, sink)
     }
 
@@ -297,10 +346,9 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
         let recorder = Arc::new(FlightRecorder::new(8));
-        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone(), true);
+        let stage = ResultStage::new(&plan, stats.clone(), recorder.clone(), true);
         for seq in 0..3u64 {
             stage
                 .submit(
@@ -326,10 +374,9 @@ mod tests {
             .build()
             .unwrap();
         let plan = CompiledPlan::compile(&q).unwrap();
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
         let recorder = Arc::new(FlightRecorder::new(8));
-        let stage = ResultStage::new(&plan, sink, stats.clone(), recorder.clone(), false);
+        let stage = ResultStage::new(&plan, stats.clone(), recorder.clone(), false);
         stage
             .submit(
                 0,
@@ -354,15 +401,9 @@ mod tests {
             saber_cpu::PlanKind::Aggregation(a) => a.clone(),
             _ => unreachable!(),
         };
-        let sink = QuerySink::new(plan.output_schema().clone(), true);
         let stats = Arc::new(QueryStats::default());
-        let stage = ResultStage::new(
-            &plan,
-            sink.clone(),
-            stats.clone(),
-            Arc::new(FlightRecorder::new(8)),
-            true,
-        );
+        let stage = ResultStage::new(&plan, stats.clone(), Arc::new(FlightRecorder::new(8)), true);
+        let sink = stage.attach(0, stats.clone(), true);
 
         // Two tasks of 6 rows each; window 0 (rows 0..8) spans both.
         let mk = |start: u64| {

@@ -266,11 +266,13 @@ mod tests {
             .build()
             .unwrap()
             .with_id(query_id);
+        let plan = Arc::new(CompiledPlan::compile(&q).unwrap());
         QueryTask {
             id,
             query_id,
             seq: id,
-            plan: Arc::new(CompiledPlan::compile(&q).unwrap()),
+            result: crate::result::ResultStage::detached(&plan),
+            plan,
             batches: vec![StreamBatch::new(RowBuffer::new(schema), 0, 0)],
             created: Instant::now(),
             ingest_ack: Instant::now(),

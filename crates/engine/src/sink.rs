@@ -53,12 +53,10 @@ impl std::fmt::Debug for Callbacks {
 #[derive(Debug)]
 struct SinkInner {
     schema: SchemaRef,
-    /// Buffered output rows (only kept while `retain` is true).
+    /// Buffered output rows (only kept when `retain` is true).
     rows: Mutex<RowBuffer>,
-    /// Whether appends buffer rows. Atomic so a shared-plan anchor whose
-    /// logical query was removed can stop accumulating rows it will never
-    /// drain, without dropping what was buffered before the removal.
-    retain: AtomicBool,
+    /// Whether appends buffer rows.
+    retain: bool,
     tuples: AtomicU64,
     bytes: AtomicU64,
     /// Mirror of the buffered row count, readable without the rows lock
@@ -88,7 +86,7 @@ impl QuerySink {
             inner: Arc::new(SinkInner {
                 rows: Mutex::new(RowBuffer::new(schema.clone())),
                 schema,
-                retain: AtomicBool::new(retain),
+                retain,
                 tuples: AtomicU64::new(0),
                 bytes: AtomicU64::new(0),
                 buffered: AtomicUsize::new(0),
@@ -121,7 +119,7 @@ impl QuerySink {
         if rows.is_empty() {
             return;
         }
-        if self.inner.retain.load(Ordering::Acquire) {
+        if self.inner.retain {
             let mut buf = self.inner.rows.lock();
             let _ = buf.extend_from_bytes(rows.bytes());
             // pairs-with: wait_for_window — waiters Acquire-load the count
@@ -222,17 +220,6 @@ impl QuerySink {
         self.inner.closed.store(true, Ordering::SeqCst);
         drop(self.inner.appends.lock());
         self.inner.appended.notify_all();
-    }
-
-    /// Stops buffering future appends without discarding rows already
-    /// buffered (they stay drainable via [`QuerySink::take_rows`]). Used
-    /// when a shared physical plan outlives this sink's logical query: the
-    /// plan keeps appending for the surviving subscribers, and this sink
-    /// must not accumulate output nobody will ever drain.
-    pub(crate) fn stop_retaining(&self) {
-        // pairs-with: append — workers Acquire-load the flag before touching
-        // the row buffer, so a cleared flag stops accumulation promptly.
-        self.inner.retain.store(false, Ordering::Release);
     }
 
     /// True once the sink is closed: every window this query will ever emit

@@ -1,5 +1,6 @@
 //! Query tasks (paper §3): an operator function bundled with stream batches.
 
+use crate::result::ResultStage;
 use saber_cpu::exec::StreamBatch;
 use saber_cpu::plan::CompiledPlan;
 use std::sync::Arc;
@@ -11,12 +12,15 @@ use std::time::Instant;
 pub struct QueryTask {
     /// Globally unique, monotonically increasing task identifier.
     pub id: u64,
-    /// The query this task belongs to.
+    /// The physical plan this task belongs to (its id).
     pub query_id: usize,
-    /// Per-query sequence number (defines result order within the query).
+    /// Per-plan sequence number (defines result order within the plan).
     pub seq: u64,
     /// The compiled operator function `f^q`.
     pub plan: Arc<CompiledPlan>,
+    /// The plan's result stage: the worker that executes the task submits
+    /// its output here.
+    pub result: Arc<ResultStage>,
     /// One stream batch per query input.
     pub batches: Vec<StreamBatch>,
     /// When the task was created by the dispatcher (latency accounting).
@@ -99,6 +103,7 @@ mod tests {
             id: 1,
             query_id: 0,
             seq: 0,
+            result: ResultStage::detached(&plan),
             plan,
             batches: vec![batch],
             created: Instant::now(),

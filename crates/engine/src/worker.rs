@@ -9,12 +9,12 @@
 
 use crate::flow::FlowControl;
 use crate::queue::TaskQueue;
-use crate::registry::QueryRegistry;
+use crate::result::ResultStage;
 use crate::scheduler::{Processor, Scheduler};
 use crate::task::{QueryTask, TaskStamps};
 use crate::throughput::ThroughputMatrix;
 use saber_cpu::{CpuExecutor, TaskOutput};
-use saber_gpu::pipeline::{GpuPipeline, PipelineJob};
+use saber_gpu::pipeline::{GpuPipeline, PipelineJob, PipelineResult};
 use saber_gpu::GpuDevice;
 use saber_types::RowBuffer;
 use std::collections::HashMap;
@@ -29,9 +29,6 @@ pub struct WorkerContext {
     pub scheduler: Arc<Scheduler>,
     /// The observed throughput matrix.
     pub matrix: Arc<ThroughputMatrix>,
-    /// The dynamic query registry: queries are resolved by id at completion
-    /// time, so the set may grow and shrink while workers run.
-    pub registry: Arc<QueryRegistry>,
     /// Admission-control gate: every finished task returns its credit here,
     /// waking producers blocked on backpressure.
     pub flow: Arc<FlowControl>,
@@ -41,26 +38,21 @@ pub struct WorkerContext {
 }
 
 impl WorkerContext {
+    /// Hands a task's output to its plan's result stage and returns the
+    /// task's credit.
     fn finish(
         &self,
-        task_query: usize,
+        result: &ResultStage,
         seq: u64,
         stamps: TaskStamps,
         output: TaskOutput,
         processor: Processor,
     ) {
-        let Some(state) = self.registry.get(task_query) else {
-            // The query vanished with this task still in flight — only
-            // possible after an unclean (timed-out) removal. Drop the output
-            // but return the credit so admission control stays balanced.
-            self.flow.release();
-            return;
-        };
-        state.stats.record_task(processor);
+        result.stats.record_task(processor);
         // A result-stage error is unrecoverable for the affected window, but
         // the stage keeps its release sequence advancing internally, so
         // later tasks (and the removal/stop drain loops) are not blocked.
-        let _ = state.runtime.submit(seq, output, stamps);
+        let _ = result.submit(seq, output, stamps);
         self.flow.release();
     }
 }
@@ -78,6 +70,7 @@ pub fn run_cpu_worker(ctx: WorkerContext) {
                     query_id,
                     seq,
                     plan,
+                    result,
                     batches,
                     created,
                     ingest_ack,
@@ -100,62 +93,7 @@ pub fn run_cpu_worker(ctx: WorkerContext) {
                     popped,
                     started,
                 };
-                ctx.finish(query_id, seq, stamps, output, Processor::Cpu);
-            }
-            None => {
-                if ctx.queue.is_shutdown() && ctx.queue.is_empty() {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// The accelerator worker loop: drives the device, optionally keeping
-/// several tasks in flight through the five-stage pipeline so data movement
-/// overlaps kernel execution.
-pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>, pipeline_depth: usize) {
-    if pipeline_depth <= 1 {
-        run_gpu_worker_sequential(ctx, device);
-    } else {
-        run_gpu_worker_pipelined(ctx, device, pipeline_depth);
-    }
-}
-
-fn run_gpu_worker_sequential(ctx: WorkerContext, device: Arc<GpuDevice>) {
-    loop {
-        match ctx
-            .scheduler
-            .next_task(&ctx.queue, Processor::Gpu, Duration::from_millis(20))
-        {
-            Some(task) => {
-                let QueryTask {
-                    query_id,
-                    seq,
-                    plan,
-                    batches,
-                    created,
-                    ingest_ack,
-                    ..
-                } = task;
-                let popped = if ctx.stage_timestamps {
-                    Instant::now()
-                } else {
-                    created
-                };
-                let started = Instant::now();
-                let output = device.execute(&plan, &batches).unwrap_or_else(|_| {
-                    TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()))
-                });
-                ctx.matrix
-                    .record(query_id, Processor::Gpu, started.elapsed());
-                let stamps = TaskStamps {
-                    ingest_ack,
-                    created,
-                    popped,
-                    started,
-                };
-                ctx.finish(query_id, seq, stamps, output, Processor::Gpu);
+                ctx.finish(&result, seq, stamps, output, Processor::Cpu);
             }
             None => {
                 if ctx.queue.is_shutdown() && ctx.queue.is_empty() {
@@ -169,11 +107,34 @@ fn run_gpu_worker_sequential(ctx: WorkerContext, device: Arc<GpuDevice>) {
 struct InFlightTask {
     query_id: usize,
     seq: u64,
+    result: Arc<ResultStage>,
     stamps: TaskStamps,
     submitted: Instant,
 }
 
-fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: usize) {
+/// Records one pipeline completion in the matrix and finishes its task (a
+/// failed pipeline stage finishes it with an empty result).
+fn complete(
+    ctx: &WorkerContext,
+    in_flight: &mut HashMap<u64, InFlightTask>,
+    completion: PipelineResult,
+) {
+    let Some(meta) = in_flight.remove(&completion.task_id) else {
+        return;
+    };
+    ctx.matrix
+        .record(meta.query_id, Processor::Gpu, meta.submitted.elapsed());
+    let output = completion.output.unwrap_or_else(|_| {
+        TaskOutput::Rows(RowBuffer::new(completion.plan.output_schema().clone()))
+    });
+    ctx.finish(&meta.result, meta.seq, meta.stamps, output, Processor::Gpu);
+}
+
+/// The accelerator worker loop: drives the device through the five-stage
+/// pipeline with up to `depth` tasks in flight, so data movement overlaps
+/// kernel execution (depth 1 runs one task at a time, without overlap).
+pub fn run_gpu_worker(ctx: WorkerContext, device: Arc<GpuDevice>, depth: usize) {
+    let depth = depth.max(1);
     let pipeline = GpuPipeline::new(device, 1);
     let completions = pipeline.completions();
     let mut in_flight: HashMap<u64, InFlightTask> = HashMap::new();
@@ -185,79 +146,55 @@ fn run_gpu_worker_pipelined(ctx: WorkerContext, device: Arc<GpuDevice>, depth: u
             } else {
                 Duration::from_millis(1)
             };
-            match ctx.scheduler.next_task(&ctx.queue, Processor::Gpu, timeout) {
-                Some(task) => {
-                    let plan = task.plan.clone();
-                    let job = PipelineJob {
-                        task_id: task.id,
-                        plan: task.plan.clone(),
-                        batches: task.batches,
-                    };
-                    let submitted = Instant::now();
-                    let popped = if ctx.stage_timestamps {
-                        submitted
-                    } else {
-                        task.created
-                    };
-                    in_flight.insert(
-                        task.id,
-                        InFlightTask {
-                            query_id: task.query_id,
-                            seq: task.seq,
-                            stamps: TaskStamps {
-                                ingest_ack: task.ingest_ack,
-                                created: task.created,
-                                popped,
-                                started: submitted,
-                            },
-                            submitted,
-                        },
-                    );
-                    if pipeline.submit(job).is_err() {
-                        // Pipeline shut down unexpectedly: finish the task
-                        // with an empty result so the query's sequence (and
-                        // any drain waiting on it) keeps moving.
-                        if let Some(meta) = in_flight.remove(&task.id) {
-                            let output =
-                                TaskOutput::Rows(RowBuffer::new(plan.output_schema().clone()));
-                            ctx.finish(
-                                meta.query_id,
-                                meta.seq,
-                                meta.stamps,
-                                output,
-                                Processor::Gpu,
-                            );
-                        }
-                    }
-                }
-                None => break,
+            let Some(task) = ctx.scheduler.next_task(&ctx.queue, Processor::Gpu, timeout) else {
+                break;
+            };
+            let submitted = Instant::now();
+            let stamps = TaskStamps {
+                ingest_ack: task.ingest_ack,
+                created: task.created,
+                popped: if ctx.stage_timestamps {
+                    submitted
+                } else {
+                    task.created
+                },
+                started: submitted,
+            };
+            let job = PipelineJob {
+                task_id: task.id,
+                plan: task.plan.clone(),
+                batches: task.batches,
+            };
+            if pipeline.submit(job).is_err() {
+                // Pipeline shut down unexpectedly: finish the task with an
+                // empty result so the plan's sequence (and any drain
+                // waiting on it) keeps moving.
+                let output = TaskOutput::Rows(RowBuffer::new(task.plan.output_schema().clone()));
+                ctx.finish(&task.result, task.seq, stamps, output, Processor::Gpu);
+                continue;
             }
+            in_flight.insert(
+                task.id,
+                InFlightTask {
+                    query_id: task.query_id,
+                    seq: task.seq,
+                    result: task.result,
+                    stamps,
+                    submitted,
+                },
+            );
         }
 
-        // Drain completions.
+        // Drain completions; wait briefly for the next one instead of
+        // spinning when none is ready yet.
         let mut drained = false;
-        while let Ok(result) = completions.try_recv() {
+        while let Ok(completion) = completions.try_recv() {
             drained = true;
-            if let Some(meta) = in_flight.remove(&result.task_id) {
-                let duration = meta.submitted.elapsed();
-                ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-                let output = result.output.unwrap_or_else(|_| {
-                    TaskOutput::Rows(RowBuffer::new(result.plan.output_schema().clone()))
-                });
-                ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
-            }
+            complete(&ctx, &mut in_flight, completion);
         }
         if !drained && !in_flight.is_empty() {
-            // Wait briefly for the next completion instead of spinning.
-            if let Ok(result) = completions.recv_timeout(Duration::from_millis(5)) {
-                if let Some(meta) = in_flight.remove(&result.task_id) {
-                    let duration = meta.submitted.elapsed();
-                    ctx.matrix.record(meta.query_id, Processor::Gpu, duration);
-                    let output = result.output.unwrap_or_else(|_| {
-                        TaskOutput::Rows(RowBuffer::new(result.plan.output_schema().clone()))
-                    });
-                    ctx.finish(meta.query_id, meta.seq, meta.stamps, output, Processor::Gpu);
-                }
+            if let Ok(completion) = completions.recv_timeout(Duration::from_millis(5)) {
+                complete(&ctx, &mut in_flight, completion);
             }
         }
 
